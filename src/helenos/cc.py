@@ -27,11 +27,12 @@ from enum import Enum
 from typing import Any, Callable, Mapping
 
 from .errors import AccessSetError, ConfigError, RetryLimitError, TxnStateError
-from .model import BucketId, Message, MsgId, RingLayout, SeqPair, TableId, TableKey, bucket_of
+from .model import BucketId, Message, MsgId, RingLayout, SeqPair, TableKey, bucket_of
 from .transport import Transport, unwrap_reply
 from .wire import (
     FLAG_COMMIT_APPLY,
     FLAG_RELEASE_AFTER,
+    OP_SPECS,
     Append,
     CcBlock,
     IncrSeq,
@@ -41,15 +42,14 @@ from .wire import (
     Scheme,
     StorageOp,
     WriteSeq,
+    apply_op,
     cc_request,
-    decode_entry,
-    decode_message,
-    decode_msgid,
-    decode_seqpair,
     decode_storage_ok,
-    opcode_of,
+    default_entry,
     storage_request,
 )
+# Unused here, but the benchmark's traced run patches these names on this module.
+from .wire import decode_entry, decode_message, decode_msgid, decode_seqpair  # noqa: F401
 
 
 class CommitOutcome(Enum):
@@ -67,7 +67,6 @@ class TxnDescriptor:
 
     txn_id: int
     access: Mapping[BucketId, int]
-    read_only: bool = False
 
     def __post_init__(self) -> None:
         if not self.access:
@@ -192,7 +191,7 @@ class TxnHandle:
         node = ctx.layout.owner_of(bucket)
         body = ctx.call(node, storage_request(request_id, bucket, op, cc), request_id)
         bucket_seq, version, payload = decode_storage_ok(body)
-        result = _decode_result(op, payload)
+        result = OP_SPECS[type(op)].decode_result(op.key.table, payload)
         self.op_counts[bucket] += 1
         return result, version, bucket_seq
 
@@ -209,30 +208,8 @@ class TxnHandle:
         result, version, bucket_seq = self._call_storage(
             bucket, op, op_index, flags, private_version
         )
-        self._record_op(bucket, op_index, _effect_kind(op), op.key, result, bucket_seq)
+        self._record_op(bucket, op_index, OP_SPECS[type(op)].kind, op.key, result, bucket_seq)
         return result, version
-
-
-def _effect_kind(op: StorageOp) -> str:
-    return {Read: "read", Append: "append", Remove: "remove",
-            WriteSeq: "write_seq", IncrSeq: "incr_seq"}[type(op)]
-
-
-def _decode_result(op: StorageOp, payload: bytes):
-    if isinstance(op, Read):
-        entry, _ = decode_entry(payload)
-        return entry
-    if isinstance(op, Append):
-        if isinstance(op.item, Message):
-            message, _ = decode_message(payload)
-            return message
-        mid, _ = decode_msgid(payload)
-        return mid
-    if isinstance(op, Remove):
-        mid, _ = decode_msgid(payload)
-        return mid
-    pair, _ = decode_seqpair(payload)
-    return pair
 
 
 class GLockHandle(TxnHandle):
@@ -332,19 +309,18 @@ class OccHandle(TxnHandle):
     # -- execution phase -------------------------------------------------
 
     def _perform(self, bucket: BucketId, op: StorageOp):
-        if isinstance(op, Read):
-            return self._overlaid_read(bucket, op.key)
+        if isinstance(op, (Read, IncrSeq)):
+            entry = self._overlaid_read(bucket, op.key)
+        else:  # a blind write: its result does not depend on the stored entry
+            entry = default_entry(op.key.table)
+        new, result = apply_op(entry, op)
         if isinstance(op, IncrSeq):
-            base = self._overlaid_read(bucket, op.key)
-            new = SeqPair(base.current + 1, base.deleted)
-            self._buffer_op(bucket, WriteSeq(op.key, new))
-            return new
-        self._buffer_op(bucket, op)
-        if isinstance(op, Append):
-            return op.item
-        if isinstance(op, Remove):
-            return op.item
-        return op.pair  # WriteSeq
+            # Published at commit as the pair this attempt computed from its
+            # validated read.
+            op = WriteSeq(op.key, new)
+        if not isinstance(op, Read):
+            self._buffer_op(bucket, op)
+        return result
 
     def _overlaid_read(self, bucket: BucketId, key: TableKey):
         op_index = self._next_op_index()
@@ -356,10 +332,10 @@ class OccHandle(TxnHandle):
             raise OccConflict(f"bucket {bucket} changed mid-transaction")
         value = committed
         for op in self._overlay.get(key, ()):
-            value = _replay_private(value, op)
+            value, _ = apply_op(value, op)
         # Recorded as observed: the transaction's logical read includes its
         # own buffered writes.
-        self._record_op(bucket, op_index, "read", key, value, bucket_seq)
+        self._record_op(bucket, op_index, OP_SPECS[Read].kind, key, value, bucket_seq)
         return value
 
     def _buffer_op(self, bucket: BucketId, op: StorageOp) -> None:
@@ -385,18 +361,32 @@ class OccHandle(TxnHandle):
         except BaseException:
             self._rollback(locked)
             raise
-        for op_index, bucket, op in self.buffer:
-            self._send_storage(bucket, op, op_index, flags=FLAG_COMMIT_APPLY)
-        for bucket in locked:
-            self.ctx.cc_call(Op.OCC_UNLOCK, bucket, txn, 1)
+        try:
+            for op_index, bucket, op in self.buffer:
+                self._send_storage(bucket, op, op_index, flags=FLAG_COMMIT_APPLY)
+        finally:
+            # Also when the apply fails: some writes may have landed, so the
+            # versions are bumped.
+            self._unlock(locked, bump=1)
         return CommitOutcome.COMMITTED
 
     def _rollback(self, locked: list[BucketId]) -> CommitOutcome:
-        for bucket in locked:
-            self.ctx.cc_call(Op.OCC_UNLOCK, bucket, self.descriptor.txn_id, 0)
+        self._unlock(locked, bump=0)
         self.buffer.clear()
         self._overlay.clear()
         return CommitOutcome.ABORTED_RETRY
+
+    def _unlock(self, locked: list[BucketId], bump: int) -> None:
+        """Release every commit lock, even when one release fails; the first
+        failure is raised after all were tried."""
+        failures: list[Exception] = []
+        for bucket in locked:
+            try:
+                self.ctx.cc_call(Op.OCC_UNLOCK, bucket, self.descriptor.txn_id, bump)
+            except Exception as exc:
+                failures.append(exc)
+        if failures:
+            raise failures[0]
 
     def abandon(self) -> None:
         if self._done:
@@ -404,19 +394,6 @@ class OccHandle(TxnHandle):
         self._done = True
         self.buffer.clear()
         self._overlay.clear()
-
-
-def _replay_private(value, op: StorageOp):
-    """Apply one of the transaction's own buffered ops to a fetched value."""
-    if isinstance(op, Append):
-        return (*value, op.item)
-    if isinstance(op, Remove):
-        if op.key.table is TableId.MESSAGE:
-            return tuple(m for m in value if m.id != op.item)
-        return tuple(m for m in value if m != op.item)
-    if isinstance(op, WriteSeq):
-        return op.pair
-    raise TxnStateError(f"cannot overlay {op!r}")
 
 
 _HANDLES: dict[Scheme, type[TxnHandle]] = {
@@ -481,11 +458,10 @@ def run_atomic(
     kind: str,
     access: Mapping[BucketId, int],
     body: Callable[[TxnView], Any],
-    read_only: bool = False,
 ) -> TxnResult:
     """Execute ``body`` atomically, retrying aborted attempts with backoff."""
     txn_id = ctx.next_txn_id()
-    descriptor = TxnDescriptor(txn_id, dict(access), read_only)
+    descriptor = TxnDescriptor(txn_id, dict(access))
     start = ctx.clock()
     if ctx.sink is not None:
         ctx.sink.txn_start(start, txn_id, ctx.client_id, kind)

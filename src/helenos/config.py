@@ -90,6 +90,8 @@ class ScenarioConfig:
 
 _RANGE_FIELDS = {"multicast_recipients", "import_batch"}
 _SKIP_FIELDS = {"probabilities", "name"}
+# Keys a scenario file's main section or an override may set.
+_SCALAR_FIELDS = {f.name for f in fields(ScenarioConfig)} - _SKIP_FIELDS
 
 
 def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
@@ -114,41 +116,39 @@ def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
             except ValueError:
                 raise ConfigError(f"line {lineno}: bad probability entry {key!r}") from None
         else:
-            values[key] = _parse_value(key, value, lineno)
+            values[key] = _parse_value(key, value, f"line {lineno}")
     if probs:
         values["probabilities"] = probs
-    try:
-        cfg = ScenarioConfig(**values)  # type: ignore[arg-type]
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
-    cfg.validate()
-    return cfg
+    return ScenarioConfig(**values)  # type: ignore[arg-type]
 
 
-def _parse_value(key: str, value: str, lineno: int) -> object:
-    if key in _RANGE_FIELDS:
-        lo, sep, hi = value.partition("..")
-        if not sep:
-            raise ConfigError(f"line {lineno}: {key} expects lo..hi")
-        return (int(lo), int(hi))
+def _parse_value(key: str, value: str, where: str) -> object:
+    """Parse one scalar or range key; ``where`` prefixes error messages."""
+    if key not in _SCALAR_FIELDS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
     if key == "scheme":
         try:
             return SCHEME_NAMES[value.lower()]
         except KeyError:
-            raise ConfigError(f"line {lineno}: unknown scheme {value!r}") from None
+            raise ConfigError(f"{where}: unknown scheme {value!r}") from None
     if key == "endpoints":
         return tuple(part.strip() for part in value.split(",") if part.strip())
     if key == "import_cutoff_strict":
         lowered = value.lower()
         if lowered not in ("true", "false"):
-            raise ConfigError(f"line {lineno}: {key} expects true or false")
+            raise ConfigError(f"{where}: {key} expects true or false")
         return lowered == "true"
-    if key in ("backoff_base_ms", "backoff_cap_ms"):
-        return float(value)
     try:
+        if key in _RANGE_FIELDS:
+            lo, sep, hi = value.partition("..")
+            if not sep:
+                raise ConfigError(f"{where}: {key} expects lo..hi")
+            return (int(lo), int(hi))
+        if key in ("backoff_base_ms", "backoff_cap_ms"):
+            return float(value)
         return int(value)
     except ValueError:
-        raise ConfigError(f"line {lineno}: bad integer for {key}: {value!r}") from None
+        raise ConfigError(f"{where}: bad number for {key}: {value!r}") from None
 
 
 def dump_config(cfg: ScenarioConfig) -> str:
@@ -178,20 +178,8 @@ def dump_config(cfg: ScenarioConfig) -> str:
 
 
 def apply_overrides(cfg: ScenarioConfig, overrides: dict[str, str]) -> ScenarioConfig:
-    changes: dict[str, object] = {}
-    for key, value in overrides.items():
-        if key == "scheme":
-            changes[key] = _parse_value(key, value, 0)
-        elif key in _RANGE_FIELDS or key in ("endpoints", "import_cutoff_strict",
-                                             "backoff_base_ms", "backoff_cap_ms"):
-            changes[key] = _parse_value(key, value, 0)
-        elif any(f.name == key for f in fields(ScenarioConfig)):
-            changes[key] = int(value)
-        else:
-            raise ConfigError(f"unknown override {key!r}")
-    cfg = replace(cfg, **changes)  # type: ignore[arg-type]
-    cfg.validate()
-    return cfg
+    changes = {key: _parse_value(key, value, "override") for key, value in overrides.items()}
+    return replace(cfg, **changes)  # type: ignore[arg-type]
 
 
 def load_scenario(ref: str) -> ScenarioConfig:

@@ -76,30 +76,30 @@ def run_clients(
     """Execute clients x tasks-per-client tasks; returns the task count."""
     from .workload import pick_task
 
-    if cfg.scheme is Scheme.GLOCK:
-        return _run_serial(cfg, layout, transport_for, sink)
-
+    runtimes = [_make_runtime(cfg, layout, transport_for(i), i, sink) for i in range(cfg.clients)]
+    groups = [runtimes] if cfg.scheme is Scheme.GLOCK else [[r] for r in runtimes]
     errors: list[BaseException] = []
-    barrier = threading.Barrier(cfg.clients)
-    tasks_done = [0] * cfg.clients
+    barrier = threading.Barrier(len(groups))
 
-    def client_main(client_id: int) -> None:
-        runtime = _make_runtime(cfg, layout, transport_for(client_id), client_id, sink)
+    def drive(group: list) -> None:
+        """Run the group's clients round-robin at task granularity."""
         barrier.wait()
-        sink.client_start(runtime.ctx.clock(), client_id)
+        for runtime in group:
+            sink.client_start(runtime.ctx.clock(), runtime.ctx.client_id)
         try:
             for _ in range(cfg.tasks_per_client):
-                runtime.run_task(pick_task(cfg, runtime.rng))
-                tasks_done[client_id] += 1
+                for runtime in group:
+                    runtime.run_task(pick_task(cfg, runtime.rng))
         except BaseException as exc:
             errors.append(exc)
             raise
         finally:
-            sink.client_end(runtime.ctx.clock(), client_id)
+            for runtime in group:
+                sink.client_end(runtime.ctx.clock(), runtime.ctx.client_id)
 
     threads = [
-        threading.Thread(target=client_main, args=(i,), daemon=True, name=f"client{i}")
-        for i in range(cfg.clients)
+        threading.Thread(target=drive, args=(group,), daemon=True, name=f"client{i}")
+        for i, group in enumerate(groups)
     ]
     for t in threads:
         t.start()
@@ -107,27 +107,7 @@ def run_clients(
         t.join()
     if errors:
         raise HelenosError(f"client failed: {errors[0]!r}") from errors[0]
-    return sum(tasks_done)
-
-
-def _run_serial(cfg, layout, transport_for, sink: EventSink) -> int:
-    """Deterministic round-robin schedule for the serial-baseline scheme."""
-    from .workload import pick_task
-
-    runtimes = [
-        _make_runtime(cfg, layout, transport_for(i), i, sink)
-        for i in range(cfg.clients)
-    ]
-    for runtime in runtimes:
-        sink.client_start(runtime.ctx.clock(), runtime.ctx.client_id)
-    tasks_done = 0
-    for _round in range(cfg.tasks_per_client):
-        for runtime in runtimes:
-            runtime.run_task(pick_task(cfg, runtime.rng))
-            tasks_done += 1
-    for runtime in runtimes:
-        sink.client_end(runtime.ctx.clock(), runtime.ctx.client_id)
-    return tasks_done
+    return cfg.clients * cfg.tasks_per_client
 
 
 def cluster_snapshot(transport: Transport, layout: RingLayout) -> bytes:

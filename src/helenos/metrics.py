@@ -18,7 +18,7 @@ from __future__ import annotations
 import io
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import VerificationError
@@ -144,12 +144,15 @@ class MetricsReport:
     clients: int
 
     def check_invariants(self) -> None:
-        if self.commits:
-            assert self.retry_rate >= 1.0, f"retry rate {self.retry_rate} < 1"
-        assert 0.0 <= self.abort_ratio < 1.0 or self.attempts == 0
-        assert 0.0 <= self.txn_exec_ratio <= 1.0
-        assert self.parallel_time_s <= self.total_time_s + 1e-9
-        assert sum(self.commits_by_kind.values()) == self.commits
+        """Raise VerificationError if the metrics contradict each other."""
+        if not (
+            (self.retry_rate >= 1.0 or not self.commits)
+            and (0.0 <= self.abort_ratio < 1.0 or self.attempts == 0)
+            and 0.0 <= self.txn_exec_ratio <= 1.0
+            and self.parallel_time_s <= self.total_time_s + 1e-9
+            and sum(self.commits_by_kind.values()) == self.commits
+        ):
+            raise VerificationError(f"inconsistent metrics: {self}")
 
 
 def aggregate(events: Iterable[Event], total_time_s: float | None = None) -> MetricsReport:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import ConfigError, ProtocolError
 
@@ -213,9 +213,3 @@ class RingLayout:
     def coordinator(self) -> str:
         """Node hosting the global lock (first node in configuration order)."""
         return self.node_ids[0]
-
-
-def all_buckets(buckets_per_table: int) -> Iterator[BucketId]:
-    for table in TableId:
-        for index in range(buckets_per_table):
-            yield BucketId(table, index)

@@ -19,26 +19,8 @@ from typing import Callable
 
 from . import wire
 from .errors import ProtocolError, RoutingError
-from .model import (
-    BucketId,
-    Message,
-    MsgId,
-    RingLayout,
-    SeqPair,
-    TableId,
-    TableKey,
-)
-from .wire import (
-    Append,
-    ErrCode,
-    IncrSeq,
-    Op,
-    Read,
-    Remove,
-    Scheme,
-    StorageOp,
-    WriteSeq,
-)
+from .model import BucketId, Message, RingLayout, TableId, TableKey
+from .wire import Append, ErrCode, Op, Read, Scheme, StorageOp, TableEntry
 
 SNAPSHOT_MAGIC = b"HELSNAP1"
 
@@ -177,7 +159,7 @@ class SupremumTable:
 @dataclass
 class _BucketState:
     lock: threading.Lock = field(default_factory=threading.Lock)
-    data: dict[TableKey, object] = field(default_factory=dict)
+    data: dict[TableKey, TableEntry] = field(default_factory=dict)
     version: int = 0  # committed-transaction counter, bumped by commit locks
     seq: int = 0  # application order of operations on this bucket
 
@@ -215,72 +197,24 @@ class StorageEngine:
     def apply(self, bucket: BucketId, op: StorageOp) -> tuple[int, int, object]:
         """Apply one op atomically; returns (bucket seq, version, result)."""
         st = self._bucket(bucket)
-        table = op.key.table
+        key = op.key
         with st.lock:
             st.seq += 1
-            if isinstance(op, Read):
-                result: object = self._get(st, op.key)
-            elif isinstance(op, Append):
-                result = self._append(st, op.key, op.item)
-            elif isinstance(op, Remove):
-                if table is TableId.SEQNO:
-                    raise ProtocolError("remove is not defined on the sequence table")
-                result = self._remove(st, op.key, op.item)
-            elif isinstance(op, WriteSeq):
-                if table is not TableId.SEQNO:
-                    raise ProtocolError("sequence write on a non-sequence table")
-                self._put_seq(st, op.key, op.pair)
-                result = op.pair
-            elif isinstance(op, IncrSeq):
-                if table is not TableId.SEQNO:
-                    raise ProtocolError("sequence increment on a non-sequence table")
-                pair = self._get(st, op.key)
-                new = SeqPair(pair.current + 1, pair.deleted)
-                self._put_seq(st, op.key, new)
-                result = new
-            else:
-                raise ProtocolError(f"unknown storage op {op!r}")
+            if isinstance(op, Append) and key.table is TableId.MESSAGE:
+                op = self._stamped(op)
+            current = st.data.get(key, wire.default_entry(key.table))
+            entry, result = wire.apply_op(current, op)
+            if entry is not current:  # a read leaves the entry as it is
+                wire.store_entry(st.data, key, entry)
             return st.seq, st.version, result
 
-    def _get(self, st: _BucketState, key: TableKey) -> object:
-        if key.table is TableId.SEQNO:
-            return st.data.get(key, SeqPair(0, 0))
-        return tuple(st.data.get(key, ()))
-
-    def _append(self, st: _BucketState, key: TableKey, item: MsgId | Message) -> object:
-        if key.table is TableId.SEQNO:
-            raise ProtocolError("append is not defined on the sequence table")
-        if key.table is TableId.MESSAGE:
-            if not isinstance(item, Message):
-                raise ProtocolError("message table append requires a full message")
-            if item.timestamp == 0:
-                item = Message(
-                    item.id, item.sender, item.recipient, item.content, self.next_timestamp()
-                )
-        elif isinstance(item, Message):
-            raise ProtocolError("identifier list append got a full message")
-        st.data.setdefault(key, []).append(item)
-        return item
-
-    def _remove(self, st: _BucketState, key: TableKey, target: MsgId) -> object:
-        entries = st.data.get(key)
-        if entries is None:
-            return target
-        if key.table is TableId.MESSAGE:
-            entries[:] = [m for m in entries if m.id != target]
-        else:
-            entries[:] = [m for m in entries if m != target]
-        if not entries:
-            del st.data[key]
-        return target
-
-    def _put_seq(self, st: _BucketState, key: TableKey, pair: SeqPair) -> None:
-        if pair.current < 0 or pair.deleted < 0 or pair.deleted > pair.current:
-            raise ProtocolError(f"invalid sequence pair {pair}")
-        if pair == SeqPair(0, 0):
-            st.data.pop(key, None)
-        else:
-            st.data[key] = pair
+    def _stamped(self, op: Append) -> Append:
+        """Assign the node's next logical timestamp to an unstamped message."""
+        item = op.item
+        if not isinstance(item, Message) or item.timestamp:
+            return op
+        return Append(op.key, Message(item.id, item.sender, item.recipient, item.content,
+                                      self.next_timestamp()))
 
     def dump_entries(self) -> list[tuple[bytes, bytes]]:
         """All (key encoding, entry encoding) pairs, sorted by key encoding."""
@@ -290,8 +224,7 @@ class StorageEngine:
         for _bucket, st in buckets:
             with st.lock:
                 for key, entry in st.data.items():
-                    value = entry if isinstance(entry, SeqPair) else tuple(entry)
-                    out.append((key.encode(), wire.encode_entry(key.table, value)))
+                    out.append((key.encode(), wire.encode_entry(key.table, entry)))
         out.sort(key=lambda kv: kv[0])
         return out
 
@@ -498,20 +431,7 @@ class Node:
         if cc.scheme is Scheme.PESV and cc.flags & wire.FLAG_RELEASE_AFTER:
             self.suprema.release(bucket, cc.private_version)
 
-        if isinstance(op, Read):
-            body = wire.encode_entry(op.key.table, result)  # type: ignore[arg-type]
-        elif isinstance(op, Append):
-            body = (
-                wire.encode_message(result)  # type: ignore[arg-type]
-                if isinstance(result, Message)
-                else wire.encode_msgid(result)  # type: ignore[arg-type]
-            )
-        elif isinstance(op, Remove):
-            body = wire.encode_msgid(result)  # type: ignore[arg-type]
-        elif isinstance(op, (WriteSeq, IncrSeq)):
-            body = wire.encode_seqpair(result)  # type: ignore[arg-type]
-        else:
-            body = b""
+        body = wire.OP_SPECS[type(op)].encode_result(op.key.table, result)
         return wire.ok_reply(request_id, wire.storage_ok_body(seq, version, body))
 
     def _serve_control(self, request_id: int, opcode: Op) -> bytes:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import VerificationError
+from .errors import ProtocolError, VerificationError
 from .metrics import BucketOp, Commit, Event, TxnStart
 from .model import (
     BucketId,
@@ -30,11 +30,9 @@ from .model import (
     TableKey,
     decode_key,
     inter_key,
-    message_key,
-    seqno_key,
 )
 from .store import unpack_snapshot
-from .wire import decode_entry
+from .wire import OP_OF_KIND, IncrSeq, Read, apply_op, decode_entry, default_entry, store_entry
 
 State = dict[TableKey, object]
 
@@ -112,48 +110,29 @@ def state_from_snapshot(dump: bytes) -> State:
 
 
 def _normalized(state: State) -> State:
-    out: State = {}
-    for key, value in state.items():
-        if value == () or value == SeqPair(0, 0):
-            continue
-        out[key] = value
-    return out
+    return {key: value for key, value in state.items() if value != default_entry(key.table)}
+
+
+# Ops whose recorded value is what they observed, to be checked on replay;
+# every other op records the argument it applied.
+_OBSERVING = frozenset({Read, IncrSeq})
 
 
 def _apply_effect(state: State, op: EffectOp) -> bool:
     """Replay one op; returns False when a read assertion fails."""
-    key = op.key
-    if op.kind == "read":
-        current = state.get(key, SeqPair(0, 0) if key.table is TableId.SEQNO else ())
-        return current == op.value
-    if op.kind == "append":
-        state[key] = (*state.get(key, ()), op.value)
-        return True
-    if op.kind == "remove":
-        current = state.get(key, ())
-        if key.table is TableId.MESSAGE:
-            new = tuple(m for m in current if m.id != op.value)
-        else:
-            new = tuple(m for m in current if m != op.value)
-        if new:
-            state[key] = new
-        else:
-            state.pop(key, None)
-        return True
-    if op.kind == "write_seq":
-        if op.value == SeqPair(0, 0):
-            state.pop(key, None)
-        else:
-            state[key] = op.value
-        return True
-    if op.kind == "incr_seq":
-        pair = op.value
-        current = state.get(key, SeqPair(0, 0))
-        if current != SeqPair(pair.current - 1, pair.deleted):
-            return False
-        state[key] = pair
-        return True
-    raise VerificationError(f"unknown effect kind {op.kind!r}")
+    op_type = OP_OF_KIND.get(op.kind)
+    if op_type is None:
+        raise VerificationError(f"unknown effect kind {op.kind!r}")
+    observing = op_type in _OBSERVING
+    storage_op = op_type(op.key) if observing else op_type(op.key, op.value)
+    try:
+        entry, result = apply_op(state.get(op.key, default_entry(op.key.table)), storage_op)
+    except ProtocolError as exc:
+        raise VerificationError(f"recorded {op.kind} on {op.key} cannot apply: {exc}") from None
+    if observing and result != op.value:
+        return False
+    store_entry(state, op.key, entry)
+    return True
 
 
 def _replay_txn(state: State, effect: TxnEffect) -> State | None:
@@ -367,8 +346,8 @@ def check_integrity(state: State) -> IntegrityVerdict:
                     v.violations.append(f"INTER:{key.parts}: dangling id {mid}")
 
     for mid, m in messages.items():
-        fwd = state.get(inter_key(m.sender, m.recipient), ())
-        back = state.get(inter_key(m.recipient, m.sender), ())
+        fwd = state.get(inter_key(m.sender, m.recipient), default_entry(TableId.INTER))
+        back = state.get(inter_key(m.recipient, m.sender), default_entry(TableId.INTER))
         if mid not in fwd:
             v.violations.append(f"MESSAGE {mid}: missing from INTER:({m.sender},{m.recipient})")
         if mid not in back:
@@ -383,7 +362,7 @@ def check_integrity(state: State) -> IntegrityVerdict:
         if pair.deleted > pair.current:
             v.violations.append(f"SEQNO:{user}: deleted {pair.deleted} > current {pair.current}")
     for mid in messages:
-        pair = pairs.get(mid.recipient, SeqPair(0, 0))
+        pair = pairs.get(mid.recipient, default_entry(TableId.SEQNO))
         if not (pair.deleted < mid.seq <= pair.current):
             v.violations.append(
                 f"MESSAGE {mid}: seq outside ({pair.deleted}, {pair.current}]"

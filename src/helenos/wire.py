@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Union
+from typing import Any, Callable, Union
 
 from .errors import ProtocolError
 from .model import (
@@ -146,12 +146,67 @@ class IncrSeq:
 
 StorageOp = Union[Read, Append, Remove, WriteSeq, IncrSeq]
 
-_OPCODE_OF = {Read: Op.READ, Append: Op.APPEND, Remove: Op.REMOVE,
-              WriteSeq: Op.WRITE_SEQ, IncrSeq: Op.INCR_SEQ}
+TableEntry = Union[tuple, SeqPair]  # tuple of MsgId, tuple of Message, or SeqPair
 
 
-def opcode_of(op: StorageOp) -> Op:
-    return _OPCODE_OF[type(op)]
+_ZERO_PAIR = SeqPair(0, 0)  # built once: this is on every storage op's path
+
+
+def default_entry(table: TableId) -> TableEntry:
+    """What an absent key reads as."""
+    return _ZERO_PAIR if table is TableId.SEQNO else ()
+
+
+def apply_op(entry: TableEntry, op: StorageOp) -> tuple[TableEntry, object]:
+    """What ``op`` does to its key's ``entry``: returns (new entry, result).
+
+    The one definition of the storage semantics, shared by the store node,
+    the optimistic scheme's private overlay and the offline checker. Pure:
+    entries are immutable and an absent key is passed as its
+    ``default_entry``. An op that is invalid for its table raises
+    ProtocolError.
+    """
+    table = op.key.table
+    if isinstance(op, Read):
+        return entry, entry
+    if isinstance(op, Append):
+        if table is TableId.SEQNO:
+            raise ProtocolError("append is not defined on the sequence table")
+        if table is TableId.MESSAGE:
+            if not isinstance(op.item, Message):
+                raise ProtocolError("message table append requires a full message")
+        elif isinstance(op.item, Message):
+            raise ProtocolError("identifier list append got a full message")
+        return (*entry, op.item), op.item
+    if isinstance(op, Remove):
+        # Strips every occurrence (so removes are idempotent); message
+        # lists are matched by id.
+        if table is TableId.SEQNO:
+            raise ProtocolError("remove is not defined on the sequence table")
+        if table is TableId.MESSAGE:
+            return tuple(m for m in entry if m.id != op.item), op.item
+        return tuple(m for m in entry if m != op.item), op.item
+    if isinstance(op, WriteSeq):
+        if table is not TableId.SEQNO:
+            raise ProtocolError("sequence write on a non-sequence table")
+        pair = op.pair
+        if pair.current < 0 or pair.deleted < 0 or pair.deleted > pair.current:
+            raise ProtocolError(f"invalid sequence pair {pair}")
+        return pair, pair
+    if isinstance(op, IncrSeq):
+        if table is not TableId.SEQNO:
+            raise ProtocolError("sequence increment on a non-sequence table")
+        pair = SeqPair(entry.current + 1, entry.deleted)  # type: ignore[union-attr]
+        return pair, pair
+    raise ProtocolError(f"unknown storage op {op!r}")
+
+
+def store_entry(data: dict[TableKey, TableEntry], key: TableKey, entry: TableEntry) -> None:
+    """Set ``data[key]``; an entry equal to the default is dropped instead."""
+    if entry == default_entry(key.table):
+        data.pop(key, None)
+    else:
+        data[key] = entry
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,8 +226,6 @@ class CcBlock:
 ENTRY_MSGIDS = 0
 ENTRY_MESSAGES = 1
 ENTRY_SEQPAIR = 2
-
-TableEntry = Union[tuple, SeqPair]  # tuple of MsgId, tuple of Message, or SeqPair
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +289,15 @@ def decode_seqpair(data: bytes, off: int = 0) -> tuple[SeqPair, int]:
     return SeqPair(c, d), off + 16
 
 
+# One stored item of each entry kind, as (encode, decode); a sequence-table
+# entry is a single pair.
+_ITEM_CODECS: dict[int, tuple[Callable[[Any], bytes], Callable[[bytes, int], tuple[Any, int]]]] = {
+    ENTRY_MSGIDS: (encode_msgid, decode_msgid),
+    ENTRY_MESSAGES: (encode_message, decode_message),
+    ENTRY_SEQPAIR: (encode_seqpair, decode_seqpair),
+}
+
+
 def entry_kind_for(table: TableId) -> int:
     if table is TableId.SEQNO:
         return ENTRY_SEQPAIR
@@ -244,21 +306,12 @@ def entry_kind_for(table: TableId) -> int:
     return ENTRY_MSGIDS
 
 
-def default_entry(table: TableId) -> TableEntry:
-    """What an absent key reads as."""
-    return SeqPair(0, 0) if table is TableId.SEQNO else ()
-
-
 def encode_entry(table: TableId, entry: TableEntry) -> bytes:
     kind = entry_kind_for(table)
+    encode = _ITEM_CODECS[kind][0]
     if kind == ENTRY_SEQPAIR:
-        return bytes([kind]) + encode_seqpair(entry)  # type: ignore[arg-type]
-    items = entry  # type: ignore[assignment]
-    out = bytes([kind]) + _U32.pack(len(items))
-    enc = encode_message if kind == ENTRY_MESSAGES else encode_msgid
-    for item in items:
-        out += enc(item)  # type: ignore[arg-type]
-    return out
+        return bytes([kind]) + encode(entry)
+    return bytes([kind]) + _U32.pack(len(entry)) + b"".join(map(encode, entry))
 
 
 def decode_entry(data: bytes, off: int = 0) -> tuple[TableEntry, int]:
@@ -266,20 +319,56 @@ def decode_entry(data: bytes, off: int = 0) -> tuple[TableEntry, int]:
         raise ProtocolError("truncated entry")
     kind = data[off]
     off += 1
-    if kind == ENTRY_SEQPAIR:
-        return decode_seqpair(data, off)
-    if kind not in (ENTRY_MSGIDS, ENTRY_MESSAGES):
+    if kind not in _ITEM_CODECS:
         raise ProtocolError(f"unknown entry kind {kind}")
+    decode = _ITEM_CODECS[kind][1]
+    if kind == ENTRY_SEQPAIR:
+        return decode(data, off)
     if len(data) - off < 4:
         raise ProtocolError("truncated entry count")
     (count,) = _U32.unpack_from(data, off)
     off += 4
-    dec = decode_message if kind == ENTRY_MESSAGES else decode_msgid
     items = []
     for _ in range(count):
-        item, off = dec(data, off)
+        item, off = decode(data, off)
         items.append(item)
     return tuple(items), off
+
+
+def _encode_item(table: TableId, item: Any) -> bytes:
+    return _ITEM_CODECS[entry_kind_for(table)][0](item)
+
+
+def _decode_item(table: TableId, data: bytes) -> Any:
+    return _ITEM_CODECS[entry_kind_for(table)][1](data, 0)[0]
+
+
+@dataclass(frozen=True, slots=True)
+class OpSpec:
+    """Everything keyed by a storage op's type: its opcode, its event-log
+    kind, and the codec of the result its OK reply carries."""
+
+    op: type
+    opcode: Op
+    kind: str
+    encode_result: Callable[[TableId, Any], bytes]
+    decode_result: Callable[[TableId, bytes], Any]
+
+
+# A read returns the whole entry and a remove the id it matched; every other
+# op returns one item of its table (the stored item, or the new pair).
+OP_SPECS: dict[type, OpSpec] = {
+    spec.op: spec
+    for spec in (
+        OpSpec(Read, Op.READ, "read", encode_entry, lambda _table, data: decode_entry(data)[0]),
+        OpSpec(Append, Op.APPEND, "append", _encode_item, _decode_item),
+        OpSpec(Remove, Op.REMOVE, "remove", lambda _table, mid: encode_msgid(mid),
+               lambda _table, data: decode_msgid(data)[0]),
+        OpSpec(WriteSeq, Op.WRITE_SEQ, "write_seq", _encode_item, _decode_item),
+        OpSpec(IncrSeq, Op.INCR_SEQ, "incr_seq", _encode_item, _decode_item),
+    )
+}
+OP_OF_KIND: dict[str, type] = {spec.kind: spec.op for spec in OP_SPECS.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +451,7 @@ def decode_storage_body(opcode: Op, table: TableId, data: bytes) -> StorageOp:
     if opcode is Op.READ:
         op: StorageOp = Read(key)
     elif opcode is Op.APPEND:
-        if table is TableId.MESSAGE:
-            item, off = decode_message(data, off)
-        else:
-            item, off = decode_msgid(data, off)
+        item, off = _ITEM_CODECS[entry_kind_for(table)][1](data, off)
         op = Append(key, item)
     elif opcode is Op.REMOVE:
         mid, off = decode_msgid(data, off)
@@ -383,7 +469,7 @@ def decode_storage_body(opcode: Op, table: TableId, data: bytes) -> StorageOp:
 
 
 def storage_request(request_id: int, bucket: BucketId, op: StorageOp, cc: CcBlock) -> bytes:
-    payload = encode_header(request_id, bucket, opcode_of(op)) + encode_cc(cc)
+    payload = encode_header(request_id, bucket, OP_SPECS[type(op)].opcode) + encode_cc(cc)
     payload += encode_storage_body(op)
     return frame(payload)
 

@@ -299,7 +299,6 @@ class ClientRuntime:
             self.ctx, "get_by_keyword",
             plan_get_by_keyword(cfg.buckets, user, kws),
             lambda tx: txn_get_by_keyword(tx, user, kws),
-            read_only=True,
         )
         txns = [first]
         ids = sorted(first.payload)
@@ -314,7 +313,6 @@ class ClientRuntime:
             self.ctx, "get_conversation",
             plan_get_conversation(self.cfg.buckets, user, other, both=True),
             lambda tx: txn_get_conversation(tx, user, other, both=True),
-            read_only=True,
         )
         txns = [first]
         if first.payload:
@@ -326,7 +324,6 @@ class ClientRuntime:
             self.ctx, "get_messages",
             plan_get_messages(self.cfg.buckets, ids),
             lambda tx: txn_get_messages(tx, ids),
-            read_only=True,
         )
 
     def _send_unicast(self) -> TaskOutcome:
@@ -416,7 +413,6 @@ class ClientRuntime:
             self.ctx, "get_association",
             plan_get_association(self.cfg.buckets, user, other),
             lambda tx: txn_get_association(tx, user, other),
-            read_only=True,
         )
         ids, pairs = result.payload
         inbox_size = max(1, pairs[0].current - pairs[0].deleted)
@@ -435,7 +431,6 @@ class ClientRuntime:
             self.ctx, "index_messages",
             plan_index_messages(cfg.buckets, queries),
             lambda tx: txn_index_messages(tx, queries, cfg.index_cap),
-            read_only=True,
         )
         return TaskOutcome(TaskType.INDEXING, [result])
 

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from conftest import make_cluster, make_ctx
+from helenos import wire
 from helenos.cc import (
     CommitOutcome,
     TxnDescriptor,
@@ -16,9 +17,10 @@ from helenos.cc import (
     begin,
     run_atomic,
 )
+from helenos.driver import cluster_snapshot
 from helenos.errors import AccessSetError, ConfigError
 from helenos.model import BucketId, SeqPair, TableId, bucket_of, seqno_key, term_key
-from helenos.wire import IncrSeq, Read, Scheme, WriteSeq
+from helenos.wire import IncrSeq, Op, Read, Scheme, WriteSeq
 
 B = 8
 
@@ -254,11 +256,11 @@ class TestOcc:
         handle = begin(ctx_w, TxnDescriptor(ctx_w.next_txn_id(), {seq_bucket(1): 1}))
         handle.access(seq_bucket(1), WriteSeq(key, SeqPair(9, 0)))
         observed = run_atomic(ctx_r, "probe", {seq_bucket(1): 1},
-                              lambda tx: tx.read(key), read_only=True)
+                              lambda tx: tx.read(key))
         assert observed.payload == SeqPair(0, 0)
         handle.commit()
         observed = run_atomic(ctx_r, "probe", {seq_bucket(1): 1},
-                              lambda tx: tx.read(key), read_only=True)
+                              lambda tx: tx.read(key))
         assert observed.payload == SeqPair(9, 0)
 
     def test_uncontended_commit_first_attempt(self):
@@ -464,6 +466,34 @@ class TestAbandon:
         assert result.attempts == 1
         for node in cluster.nodes.values():
             assert node.quiescent()
+
+
+class FailFirstWriteSeq:
+    """Transport wrapper whose first WRITE_SEQ request fails in transit."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.tripped = False
+
+    def request(self, node_id: str, frame_bytes: bytes) -> bytes:
+        opcode = wire.decode_header(wire.split_frame(frame_bytes))[3]
+        if opcode == Op.WRITE_SEQ and not self.tripped:
+            self.tripped = True
+            raise ConnectionError("injected WRITE_SEQ failure")
+        return self.inner.request(node_id, frame_bytes)
+
+
+class TestOccApplyFailure:
+    def test_failed_commit_apply_releases_commit_locks(self):
+        cluster = make_cluster(2)
+        ctx = make_ctx(cluster, Scheme.OCC)
+        ctx.transport = FailFirstWriteSeq(cluster)
+        with pytest.raises(ConnectionError, match="injected"):
+            run_atomic(ctx, "incr", {seq_bucket(1): 1}, lambda tx: tx.incr_seq(seqno_key(1)))
+        assert all(node.quiescent() for node in cluster.nodes.values())
+        owner = cluster.nodes[cluster.layout.owner_of(seq_bucket(1))]
+        assert owner.engine.version(seq_bucket(1)) == 1  # a write may have landed
+        cluster_snapshot(cluster, cluster.layout)
 
 
 class TestDeadlockFreedom:

@@ -94,6 +94,15 @@ class TestScenarioFiles:
         with pytest.raises(ConfigError):
             apply_overrides(load_scenario("standard"), {"bogus": "1"})
 
+    @pytest.mark.parametrize("key, value", [("name", "5"), ("probabilities", "1"),
+                                            ("clients", "abc"), ("import_batch", "2..x"),
+                                            ("backoff_cap_ms", "fast")])
+    def test_bad_override_rejected(self, key, value):
+        with pytest.raises(ConfigError):
+            apply_overrides(load_scenario("standard"), {key: value})
+        with pytest.raises(ConfigError):
+            parse_config(f"{key} = {value}\n")
+
     def test_bad_probabilities_rejected(self):
         text = dump_config(load_scenario("standard")).replace(
             "term_search = 0.25", "term_search = 0.5")
@@ -106,6 +115,13 @@ def run_cli(*argv: str) -> int:
 
 
 class TestRunCommand:
+    def test_bad_override_exits_1_without_traceback(self, capsys):
+        code = run_cli("run", "--config", "standard", "--in-process", "2",
+                       "--override", "clients=abc")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and "Traceback" not in err
+
     def test_single_client_glock_columns(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
         code = run_cli(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import pytest
@@ -91,6 +92,19 @@ class TestAggregateFixture:
         assert 0.0 <= r.abort_ratio < 1.0
         assert 0.0 <= r.txn_exec_ratio <= 1.0
         assert r.abort_ratio == 0 or r.retry_rate > 1.0
+
+    @pytest.mark.parametrize("change", [
+        {"retry_rate": 0.5},
+        {"abort_ratio": 1.0},
+        {"txn_exec_ratio": 1.5},
+        {"parallel_time_s": 1e9},
+        {"commits_by_kind": {"send_msg": 1}},
+    ], ids=["retry_rate", "abort_ratio", "exec_ratio", "parallel_time", "per_kind"])
+    def test_inconsistent_report_raises(self, change):
+        # A raised error, not an assert, so that it also holds under python -O.
+        report = dataclasses.replace(aggregate(fixture_events()), **change)
+        with pytest.raises(VerificationError):
+            report.check_invariants()
 
     def test_pure_function_of_stream(self):
         assert aggregate(fixture_events()) == aggregate(fixture_events())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from functools import reduce
+from typing import Iterator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +15,6 @@ from helenos.model import (
     RingLayout,
     TableId,
     TableKey,
-    all_buckets,
     bucket_of,
     bucket_position,
     decode_key,
@@ -25,6 +25,12 @@ from helenos.model import (
     seqno_key,
     term_key,
 )
+
+
+def all_buckets(buckets_per_table: int) -> Iterator[BucketId]:
+    for table in TableId:
+        for index in range(buckets_per_table):
+            yield BucketId(table, index)
 
 
 def fnv1a_64_oracle(data: bytes) -> int:

@@ -20,6 +20,7 @@ from helenos.model import (
     inter_key,
     message_key,
     seqno_key,
+    term_key,
 )
 from helenos.store import Node, StorageEngine, merge_snapshots, pack_snapshot, unpack_snapshot
 from helenos.transport import LoopbackCluster
@@ -33,6 +34,9 @@ from helenos.wire import (
     Remove,
     Scheme,
     WriteSeq,
+    apply_op,
+    default_entry,
+    store_entry,
 )
 
 B = 8
@@ -140,6 +144,60 @@ class TestEngineSemantics:
                 BucketId(TableId.MESSAGE, 0),
                 Append(message_key(1), MsgId(1, 1)),  # message table needs full messages
             )
+
+
+TERM, INTER, MSGS, SEQ = term_key(2, 5), inter_key(1, 2), message_key(2), seqno_key(2)
+ID1, ID2 = MsgId(2, 1), MsgId(2, 2)
+MSG1, MSG2 = Message(ID1, 1, 2, (5,), 7), Message(ID2, 1, 2, (6,), 8)
+ZERO = SeqPair(0, 0)
+
+# (entry, op, (new entry, result)), written out by hand; None: ProtocolError.
+APPLY_CASES = {
+    "read absent list": ((), Read(TERM), ((), ())),
+    "read ids": ((ID1,), Read(INTER), ((ID1,), (ID1,))),
+    "read messages": ((MSG1,), Read(MSGS), ((MSG1,), (MSG1,))),
+    "read absent pair": (ZERO, Read(SEQ), (ZERO, ZERO)),
+    "append id": ((ID1,), Append(TERM, ID2), ((ID1, ID2), ID2)),
+    "append id to empty": ((), Append(INTER, ID1), ((ID1,), ID1)),
+    "append duplicate id": ((ID1,), Append(INTER, ID1), ((ID1, ID1), ID1)),
+    "append message": ((MSG1,), Append(MSGS, MSG2), ((MSG1, MSG2), MSG2)),
+    "remove message by id": ((MSG1, MSG2), Remove(MSGS, ID1), ((MSG2,), ID1)),
+    "remove every occurrence": ((ID1, ID2, ID1), Remove(INTER, ID1), ((ID2,), ID1)),
+    "remove is idempotent": ((ID2,), Remove(INTER, ID1), ((ID2,), ID1)),
+    "remove from absent": ((), Remove(TERM, ID1), ((), ID1)),
+    "remove last id": ((ID1,), Remove(TERM, ID1), ((), ID1)),
+    "remove last message": ((MSG1,), Remove(MSGS, ID1), ((), ID1)),
+    "write pair": (ZERO, WriteSeq(SEQ, SeqPair(4, 2)), (SeqPair(4, 2), SeqPair(4, 2))),
+    "write equal pair": (SeqPair(4, 2), WriteSeq(SEQ, SeqPair(4, 4)), (SeqPair(4, 4),) * 2),
+    "write zero pair": (SeqPair(4, 2), WriteSeq(SEQ, ZERO), (ZERO, ZERO)),
+    "increment absent": (ZERO, IncrSeq(SEQ), (SeqPair(1, 0), SeqPair(1, 0))),
+    "increment": (SeqPair(7, 2), IncrSeq(SEQ), (SeqPair(8, 2), SeqPair(8, 2))),
+    "append on seqno": (ZERO, Append(SEQ, ID1), None),
+    "remove on seqno": (ZERO, Remove(SEQ, ID1), None),
+    "write on term": ((), WriteSeq(TERM, SeqPair(1, 0)), None),
+    "write on message": ((), WriteSeq(MSGS, SeqPair(1, 0)), None),
+    "increment on inter": ((), IncrSeq(INTER), None),
+    "increment on message": ((), IncrSeq(MSGS), None),
+    "id on message": ((), Append(MSGS, ID1), None),
+    "message on term": ((), Append(TERM, MSG1), None),
+    "message on inter": ((), Append(INTER, MSG1), None),
+    "deleted above current": (ZERO, WriteSeq(SEQ, SeqPair(1, 2)), None),
+    "negative current": (ZERO, WriteSeq(SEQ, SeqPair(-1, 0)), None),
+    "negative deleted": (ZERO, WriteSeq(SEQ, SeqPair(0, -1)), None),
+}
+
+
+@pytest.mark.parametrize("entry, op, expected", APPLY_CASES.values(), ids=APPLY_CASES)
+def test_apply_op_table(entry, op, expected):
+    if expected is None:
+        with pytest.raises(ProtocolError):
+            apply_op(entry, op)
+        return
+    assert apply_op(entry, op) == expected
+    # Entries equal to the default (empty lists, 0/0 pairs) are not stored.
+    data: dict = {}
+    store_entry(data, op.key, expected[0])
+    assert (op.key in data) == (expected[0] != default_entry(op.key.table))
 
 
 class TestServe:

@@ -61,31 +61,31 @@ class Rig:
     def association(self, u1: int, u2: int):
         return run_atomic(
             self.ctx, "get_association", wl.plan_get_association(B, u1, u2),
-            lambda tx: wl.txn_get_association(tx, u1, u2), read_only=True,
+            lambda tx: wl.txn_get_association(tx, u1, u2),
         ).payload
 
     def by_keyword(self, user: int, kws):
         return run_atomic(
             self.ctx, "get_by_keyword", wl.plan_get_by_keyword(B, user, kws),
-            lambda tx: wl.txn_get_by_keyword(tx, user, kws), read_only=True,
+            lambda tx: wl.txn_get_by_keyword(tx, user, kws),
         ).payload
 
     def conversation(self, s: int, r: int, both=False):
         return run_atomic(
             self.ctx, "get_conversation", wl.plan_get_conversation(B, s, r, both),
-            lambda tx: wl.txn_get_conversation(tx, s, r, both), read_only=True,
+            lambda tx: wl.txn_get_conversation(tx, s, r, both),
         ).payload
 
     def get_messages(self, ids):
         return run_atomic(
             self.ctx, "get_messages", wl.plan_get_messages(B, ids),
-            lambda tx: wl.txn_get_messages(tx, ids), read_only=True,
+            lambda tx: wl.txn_get_messages(tx, ids),
         ).payload
 
     def index(self, queries, cap=3):
         return run_atomic(
             self.ctx, "index_messages", wl.plan_index_messages(B, queries),
-            lambda tx: wl.txn_index_messages(tx, queries, cap), read_only=True,
+            lambda tx: wl.txn_index_messages(tx, queries, cap),
         ).payload
 
     def reset_cutoff(self, user: int) -> SeqPair:
