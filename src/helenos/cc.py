@@ -414,15 +414,38 @@ def begin(ctx: TxnContext, descriptor: TxnDescriptor, attempt: int = 1) -> TxnHa
     return handle
 
 
-class TxnView:
-    """Typed storage verbs bound to one live transaction handle."""
+class AccessPlan(dict):
+    """A declared access set, bucket -> op-count bound, that also remembers
+    the bucket of each planned key (hashed with ``buckets_per_table``), so
+    that the transaction body's verbs look keys up instead of hashing them
+    again."""
 
-    def __init__(self, handle: TxnHandle, buckets_per_table: int) -> None:
+    __slots__ = ("buckets_per_table", "key_buckets")
+
+    def __init__(self, counts: Mapping[BucketId, int], buckets_per_table: int,
+                 key_buckets: dict[TableKey, BucketId]) -> None:
+        super().__init__(counts)
+        self.buckets_per_table = buckets_per_table
+        self.key_buckets = key_buckets
+
+
+class TxnView:
+    """Typed storage verbs bound to one live transaction handle.
+
+    ``key_buckets`` holds buckets already computed for some keys; any
+    other key is hashed, so an undeclared key still reaches the access-set
+    check.
+    """
+
+    def __init__(self, handle: TxnHandle, buckets_per_table: int,
+                 key_buckets: Mapping[TableKey, BucketId] | None = None) -> None:
         self._handle = handle
         self._buckets = buckets_per_table
+        self._known = key_buckets or {}
 
     def _bucket(self, key: TableKey) -> BucketId:
-        return bucket_of(key, self._buckets)
+        bucket = self._known.get(key)
+        return bucket if bucket is not None else bucket_of(key, self._buckets)
 
     def read(self, key: TableKey):
         return self._handle.access(self._bucket(key), Read(key))
@@ -462,6 +485,8 @@ def run_atomic(
     """Execute ``body`` atomically, retrying aborted attempts with backoff."""
     txn_id = ctx.next_txn_id()
     descriptor = TxnDescriptor(txn_id, dict(access))
+    key_buckets = (access.key_buckets if isinstance(access, AccessPlan)
+                   and access.buckets_per_table == ctx.buckets_per_table else None)
     start = ctx.clock()
     if ctx.sink is not None:
         ctx.sink.txn_start(start, txn_id, ctx.client_id, kind)
@@ -476,7 +501,7 @@ def run_atomic(
             ctx.sink.retry_start(ctx.clock(), txn_id, ctx.client_id, attempt)
         handle = begin(ctx, descriptor, attempt)
         try:
-            payload = body(TxnView(handle, ctx.buckets_per_table))
+            payload = body(TxnView(handle, ctx.buckets_per_table, key_buckets))
             outcome = handle.commit()
         except OccConflict:
             outcome = CommitOutcome.ABORTED_RETRY

@@ -13,6 +13,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .cc import TxnContext
@@ -33,8 +34,12 @@ class RunArtifacts:
     config: ScenarioConfig
     report: MetricsReport
     events: list
-    history: History
     snapshot: bytes
+
+    @cached_property
+    def history(self) -> History:
+        """Committed transactions' effects, built from ``events`` on first use."""
+        return build_history(self.events)
 
     @property
     def commits(self) -> int:
@@ -125,7 +130,7 @@ def run_scenario(
     layout: RingLayout,
     snapshot_transport: Transport | None = None,
 ) -> RunArtifacts:
-    """One full run: clients, aggregation, history, and final snapshot."""
+    """One full run: clients, aggregation, and final snapshot."""
     started = time.monotonic_ns()
     sink = EventSink()
     run_clients(cfg, layout, transport_for, sink)
@@ -135,7 +140,7 @@ def run_scenario(
     report.check_invariants()
     snap_transport = snapshot_transport if snapshot_transport is not None else transport_for(0)
     snapshot = cluster_snapshot(snap_transport, layout)
-    return RunArtifacts(cfg, report, events, build_history(events), snapshot)
+    return RunArtifacts(cfg, report, events, snapshot)
 
 
 def run_in_process(cfg: ScenarioConfig) -> RunArtifacts:

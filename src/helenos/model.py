@@ -1,6 +1,7 @@
 """Keys, table schemas, bucket partitioning, and ring placement.
 
-Everything in this module is pure and hashable. The canonical byte
+Everything in this module is pure and hashable (a RingLayout's owner
+memo is invisible to equality and hashing). The canonical byte
 encodings defined here double as the wire format and as the input to the
 partitioning hash, so they are fixed bit-for-bit (see README, "Canonical
 encodings").
@@ -8,8 +9,9 @@ encodings").
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -40,6 +42,10 @@ class TableId(IntEnum):
     MESSAGE = 2
     SEQNO = 3
 
+
+# Table by tag byte: decoders look tags up here instead of calling TableId,
+# whose constructor costs a Python-level call on every frame.
+TABLE_BY_TAG: dict[int, TableId] = {table.value: table for table in TableId}
 
 # Number of 8-byte key fields following the tag byte, per table.
 KEY_ARITY = {
@@ -84,22 +90,21 @@ def seqno_key(user: UserId) -> TableKey:
     return TableKey(TableId.SEQNO, (user,))
 
 
+_KEY_FIELDS = {1: struct.Struct(">Q"), 2: struct.Struct(">QQ")}  # by arity
+
+
 def decode_key(data: bytes) -> tuple[TableKey, int]:
     """Decode a canonical key prefix of ``data``; returns (key, bytes consumed)."""
     if not data:
         raise ProtocolError("empty key encoding")
-    try:
-        table = TableId(data[0])
-    except ValueError:
-        raise ProtocolError(f"unknown table tag {data[0]}") from None
-    arity = KEY_ARITY[table]
-    need = 1 + 8 * arity
+    table = TABLE_BY_TAG.get(data[0])
+    if table is None:
+        raise ProtocolError(f"unknown table tag {data[0]}")
+    fields = _KEY_FIELDS[KEY_ARITY[table]]
+    need = 1 + fields.size
     if len(data) < need:
         raise ProtocolError("truncated key encoding")
-    parts = tuple(
-        int.from_bytes(data[1 + 8 * i : 9 + 8 * i], "big") for i in range(arity)
-    )
-    return TableKey(table, parts), need
+    return TableKey(table, fields.unpack_from(data, 1)), need
 
 
 class MsgId(NamedTuple):
@@ -170,18 +175,26 @@ def bucket_position(bucket: BucketId) -> int:
     return mix64(fnv1a_64(bucket.encode()))
 
 
+# Most owners a layout remembers. The bundled scenarios address at most
+# 4 tables x 1024 buckets; a TCP peer can name any u32 bucket index, so
+# past this many the owner is computed without being stored.
+OWNER_CACHE_LIMIT = 16_384
+
+
 @dataclass(frozen=True)
 class RingLayout:
     """Placement of buckets onto nodes via successor-on-ring.
 
     ``node_ids`` preserves configuration order; index 0 hosts the global
     lock. ``points`` is the same set of nodes sorted by ring position;
-    ``positions`` mirrors it for bisection.
+    ``positions`` mirrors it for bisection. ``_owners`` memoizes
+    ``owner_of``; it takes no part in equality, hashing or repr.
     """
 
     node_ids: tuple[str, ...]
     points: tuple[tuple[int, str], ...]
     positions: tuple[int, ...]
+    _owners: dict[BucketId, str] = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_node_ids(cls, node_ids: list[str] | tuple[str, ...]) -> RingLayout:
@@ -201,7 +214,12 @@ class RingLayout:
 
     def owner_of(self, bucket: BucketId) -> str:
         """The node whose position is the smallest strictly above the bucket's."""
-        return self.owner_at(bucket_position(bucket))
+        owner = self._owners.get(bucket)
+        if owner is None:
+            owner = self.owner_at(bucket_position(bucket))
+            if len(self._owners) < OWNER_CACHE_LIMIT:
+                self._owners[bucket] = owner
+        return owner
 
     def owner_at(self, position: int) -> str:
         i = bisect_right(self.positions, position)

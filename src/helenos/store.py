@@ -19,7 +19,7 @@ from typing import Callable
 
 from . import wire
 from .errors import ProtocolError, RoutingError
-from .model import BucketId, Message, RingLayout, TableId, TableKey
+from .model import TABLE_BY_TAG, BucketId, Message, RingLayout, TableId, TableKey
 from .wire import Append, ErrCode, Op, Read, Scheme, StorageOp, TableEntry
 
 SNAPSHOT_MAGIC = b"HELSNAP1"
@@ -309,9 +309,8 @@ class Node:
             request_id, tag, index, opcode_raw, rest = wire.decode_header(payload)
         except ProtocolError as exc:
             return wire.err_reply(0, ErrCode.MALFORMED, str(exc))
-        try:
-            opcode = Op(opcode_raw)
-        except ValueError:
+        opcode = wire.OP_BY_CODE.get(opcode_raw)
+        if opcode is None:
             return wire.err_reply(request_id, ErrCode.MALFORMED, f"unknown opcode {opcode_raw:#x}")
         try:
             if opcode in wire.STORAGE_OPS or opcode in wire.CC_OPS:
@@ -331,10 +330,9 @@ class Node:
             return wire.err_reply(request_id, ErrCode.PROTOCOL, f"internal: {exc!r}")
 
     def _bucket_from_header(self, tag: int, index: int) -> BucketId:
-        try:
-            table = TableId(tag)
-        except ValueError:
-            raise ProtocolError(f"unknown table tag {tag}") from None
+        table = TABLE_BY_TAG.get(tag)
+        if table is None:
+            raise ProtocolError(f"unknown table tag {tag}")
         bucket = BucketId(table, index)
         if self.layout.owner_of(bucket) != self.node_id:
             raise RoutingError(f"bucket {table.name}:{index} is not owned by {self.node_id}")

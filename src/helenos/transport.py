@@ -142,6 +142,9 @@ class TcpNodeServer:
                     continue
                 except OSError:
                     break
+                # Finished connections are dropped here, so a long-lived
+                # node keeps one thread object per open connection only.
+                self._threads = [t for t in self._threads if t.is_alive()]
                 t = threading.Thread(target=self._serve_conn, args=(conn,), daemon=True)
                 t.start()
                 self._threads.append(t)

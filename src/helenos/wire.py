@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any, Callable, Union
+from typing import Any, Callable, NamedTuple, Union
 
 from .errors import ProtocolError
 from .model import (
@@ -66,6 +66,10 @@ class Op(IntEnum):
     ERR = 0x81
 
 
+# Enum member by wire byte. The frame path looks codes up here instead of
+# calling the IntEnum constructors, which cost a Python-level call each.
+OP_BY_CODE: dict[int, Op] = {op.value: op for op in Op}
+
 STORAGE_OPS = frozenset({Op.READ, Op.APPEND, Op.REMOVE, Op.WRITE_SEQ, Op.INCR_SEQ})
 
 CC_OPS = frozenset(
@@ -91,6 +95,8 @@ class Scheme(IntEnum):
     OCC = 3
     PESV = 4
 
+
+SCHEME_BY_CODE: dict[int, Scheme] = {scheme.value: scheme for scheme in Scheme}
 
 SCHEME_NAMES = {
     "glock": Scheme.GLOCK,
@@ -149,12 +155,14 @@ StorageOp = Union[Read, Append, Remove, WriteSeq, IncrSeq]
 TableEntry = Union[tuple, SeqPair]  # tuple of MsgId, tuple of Message, or SeqPair
 
 
-_ZERO_PAIR = SeqPair(0, 0)  # built once: this is on every storage op's path
+# By table, looked up rather than branched on: reading an Enum member off
+# its class is a slow attribute lookup, and this runs on every storage op.
+_DEFAULT_ENTRY = {table: SeqPair(0, 0) if table is TableId.SEQNO else () for table in TableId}
 
 
 def default_entry(table: TableId) -> TableEntry:
     """What an absent key reads as."""
-    return _ZERO_PAIR if table is TableId.SEQNO else ()
+    return _DEFAULT_ENTRY[table]
 
 
 def apply_op(entry: TableEntry, op: StorageOp) -> tuple[TableEntry, object]:
@@ -209,9 +217,10 @@ def store_entry(data: dict[TableKey, TableEntry], key: TableKey, entry: TableEnt
         data[key] = entry
 
 
-@dataclass(frozen=True, slots=True)
-class CcBlock:
-    """Concurrency-control fields piggybacked on every storage request."""
+class CcBlock(NamedTuple):
+    """Concurrency-control fields piggybacked on every storage request, in
+    wire order. A named tuple: one is built on each side of every storage
+    frame, and a tuple costs a fraction of a frozen dataclass to build."""
 
     scheme: Scheme
     txn_id: int
@@ -298,12 +307,16 @@ _ITEM_CODECS: dict[int, tuple[Callable[[Any], bytes], Callable[[bytes, int], tup
 }
 
 
+_ENTRY_KIND = {
+    TableId.TERM: ENTRY_MSGIDS,
+    TableId.INTER: ENTRY_MSGIDS,
+    TableId.MESSAGE: ENTRY_MESSAGES,
+    TableId.SEQNO: ENTRY_SEQPAIR,
+}
+
+
 def entry_kind_for(table: TableId) -> int:
-    if table is TableId.SEQNO:
-        return ENTRY_SEQPAIR
-    if table is TableId.MESSAGE:
-        return ENTRY_MESSAGES
-    return ENTRY_MSGIDS
+    return _ENTRY_KIND[table]
 
 
 def encode_entry(table: TableId, entry: TableEntry) -> bytes:
@@ -411,25 +424,16 @@ def decode_header(payload: bytes) -> tuple[int, int, int, int, bytes]:
 
 
 def encode_cc(cc: CcBlock) -> bytes:
-    return _CC.pack(
-        cc.scheme,
-        cc.txn_id,
-        cc.attempt,
-        cc.op_index,
-        cc.flags,
-        cc.delay_ms,
-        cc.private_version,
-    )
+    return _CC.pack(*cc)
 
 
 def decode_cc(data: bytes, off: int = 0) -> tuple[CcBlock, int]:
     if len(data) - off < _CC.size:
         raise ProtocolError("truncated concurrency block")
     scheme, txn, attempt, op_index, flags, delay, pv = _CC.unpack_from(data, off)
-    try:
-        scheme_e = Scheme(scheme)
-    except ValueError:
-        raise ProtocolError(f"unknown scheme {scheme}") from None
+    scheme_e = SCHEME_BY_CODE.get(scheme)
+    if scheme_e is None:
+        raise ProtocolError(f"unknown scheme {scheme}")
     return CcBlock(scheme_e, txn, attempt, op_index, flags, delay, pv), off + _CC.size
 
 
@@ -500,13 +504,17 @@ def err_reply(request_id: int, code: ErrCode, message: str) -> bytes:
     return frame(encode_header(request_id, None, Op.ERR) + body)
 
 
+_REPLY_OPS = {Op.OK.value: Op.OK, Op.ERR.value: Op.ERR}
+
+
 def decode_reply(data: bytes) -> tuple[int, Op, bytes]:
     """Returns (request_id, OK or ERR, body) from a whole reply frame."""
     payload = split_frame(data)
     request_id, _tag, _index, opcode, rest = decode_header(payload)
-    if opcode not in (Op.OK, Op.ERR):
+    reply_op = _REPLY_OPS.get(opcode)
+    if reply_op is None:
         raise ProtocolError(f"unexpected reply opcode {opcode:#x}")
-    return request_id, Op(opcode), rest
+    return request_id, reply_op, rest
 
 
 def decode_err(body: bytes) -> tuple[ErrCode, str]:

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from .cc import TxnContext, TxnResult, TxnView, run_atomic
+from .cc import AccessPlan, TxnContext, TxnResult, TxnView, run_atomic
 from .config import ScenarioConfig, TaskType
 from .model import (
     BucketId,
@@ -33,19 +33,25 @@ from .model import (
     term_key,
 )
 
-Plan = dict[BucketId, int]
+Plan = AccessPlan
 
 
 class _PlanBuilder:
+    """Accumulates an access set, hashing each distinct key once."""
+
     def __init__(self, buckets_per_table: int) -> None:
         self._buckets = buckets_per_table
         self.counts: Counter[BucketId] = Counter()
+        self.key_buckets: dict[TableKey, BucketId] = {}
 
     def add(self, key: TableKey, n: int = 1) -> None:
-        self.counts[bucket_of(key, self._buckets)] += n
+        bucket = self.key_buckets.get(key)
+        if bucket is None:
+            bucket = self.key_buckets[key] = bucket_of(key, self._buckets)
+        self.counts[bucket] += n
 
     def plan(self) -> Plan:
-        return dict(self.counts)
+        return AccessPlan(self.counts, self._buckets, self.key_buckets)
 
 
 # ---------------------------------------------------------------------------

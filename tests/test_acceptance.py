@@ -70,6 +70,7 @@ def test_c01_transaction_trace_suite():
                 trace(Rig(scheme))
 
 
+@pytest.mark.slow
 def test_c02_zero_abort_guarantee():
     with criterion(2, "10k mixed tasks abort-free under glock/fgl/pesv", 900):
         for scheme in ABORT_FREE:
@@ -137,6 +138,7 @@ def test_c04_serializability_oracle():
         assert not brute_force_serializable(history, final).ok
 
 
+@pytest.mark.slow
 def test_c05_integrity_across_scenarios():
     scenarios = ["standard", "small-r", "small-rw", "small-w",
                  "large-r", "large-rw", "large-w"]
@@ -164,6 +166,7 @@ def _median_throughputs(cfg_base: ScenarioConfig, field: str, values, reps=5):
     return out
 
 
+@pytest.mark.slow
 def test_c06_delay_trend():
     with criterion(6, "lock-scheme throughput strictly falls as delay grows", 600):
         delays = [0, 1, 3, 5, 10]
@@ -178,6 +181,7 @@ def test_c06_delay_trend():
             )
 
 
+@pytest.mark.slow
 def test_c07_bucket_trend():
     with criterion(7, "throughput grows with bucket count; 512 vs 1 at least 2x", 600):
         buckets = [1, 8, 64, 512]

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from functools import reduce
 from typing import Iterator
 
 import pytest
 from hypothesis import given, strategies as st
 
+from helenos import model
 from helenos.errors import ConfigError
 from helenos.model import (
+    OWNER_CACHE_LIMIT,
     BucketId,
     RingLayout,
     TableId,
@@ -191,3 +195,80 @@ class TestRing:
                 if len(owned) == nodes * len(TableId):
                     ok += 1
         assert ok >= 0.99 * trials
+
+
+class TestOwnerCache:
+    @pytest.mark.parametrize("nodes", [1, 2, 3, 4, 5])
+    def test_cold_and_warm_agree_with_scan_oracle(self, nodes):
+        layout = RingLayout.from_node_ids([f"node{i}" for i in range(nodes)])
+        for _pass in ("cold", "warm"):
+            for bucket in all_buckets(256):
+                assert layout.owner_of(bucket) == owner_oracle(bucket, layout)
+
+    def test_warm_layout_equals_fresh_one(self):
+        warm = RingLayout.from_node_ids(["node0", "node1", "node2"])
+        for bucket in all_buckets(64):
+            warm.owner_of(bucket)
+        fresh = RingLayout.from_node_ids(["node0", "node1", "node2"])
+        assert warm == fresh
+        assert hash(warm) == hash(fresh)
+        assert repr(warm) == repr(fresh)
+
+    def test_each_bucket_positioned_once(self, monkeypatch):
+        calls: list[BucketId] = []
+        real = model.bucket_position
+
+        def counting(bucket: BucketId) -> int:
+            calls.append(bucket)
+            return real(bucket)
+
+        monkeypatch.setattr(model, "bucket_position", counting)
+        layout = RingLayout.from_node_ids(["node0", "node1", "node2", "node3"])
+        buckets = list(all_buckets(16))
+        for _ in range(3):
+            for bucket in buckets:
+                layout.owner_of(bucket)
+        assert sorted(calls) == sorted(buckets)
+
+    def test_bounded_under_arbitrary_indices(self):
+        # A TCP peer can name any u32 bucket index; the cache stops at its
+        # limit and later buckets are routed uncached.
+        layout = RingLayout.from_node_ids(["node0", "node1", "node2"])
+        rng = random.Random(3)
+        indices = rng.sample(range(2**32), OWNER_CACHE_LIMIT + 200)
+        for index in indices[:OWNER_CACHE_LIMIT]:
+            layout.owner_of(BucketId(TableId.TERM, index))
+        assert len(layout._owners) == OWNER_CACHE_LIMIT
+        for index in indices[OWNER_CACHE_LIMIT:]:
+            bucket = BucketId(TableId.MESSAGE, index)
+            assert layout.owner_of(bucket) == owner_oracle(bucket, layout)
+            assert layout.owner_of(bucket) == owner_oracle(bucket, layout)
+        assert len(layout._owners) == OWNER_CACHE_LIMIT
+
+    def test_concurrent_fill_routes_correctly(self):
+        # Client and node threads share one layout; more threads than cores,
+        # with frequent switches, fill the cache at once.
+        layout = RingLayout.from_node_ids(["node0", "node1", "node2", "node3"])
+        buckets = list(all_buckets(64))
+        expected = {bucket: owner_oracle(bucket, layout) for bucket in buckets}
+        wrong: list[BucketId] = []
+
+        def worker(seed: int) -> None:
+            order = buckets[:]
+            random.Random(seed).shuffle(order)
+            for _ in range(5):
+                wrong.extend(b for b in order if layout.owner_of(b) != expected[b])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert layout._owners == expected

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 import threading
 import time
 
@@ -294,6 +295,34 @@ class TestServe:
             t.join()
         elapsed = time.monotonic() - start
         assert 0.050 <= elapsed < 0.095, f"delays serialized: {elapsed:.3f}s"
+
+
+def _raw_frame(tag: int, opcode: int, rest: bytes, request_id: int = 4) -> bytes:
+    return wire.frame(struct.pack(">QBIB", request_id, tag, 0, opcode) + rest)
+
+
+_KEY = seqno_key(1)
+_CC_BYTES = wire.encode_cc(NONE_CC)
+
+
+# Frames whose header or body names an unknown table, scheme or opcode, with
+# the error code and message the node answers each with.
+@pytest.mark.parametrize("frame_bytes,code,message", [
+    pytest.param(_raw_frame(9, Op.READ, _CC_BYTES + _KEY.encode()),
+                 ErrCode.PROTOCOL, "unknown table tag 9", id="storage-header-tag"),
+    pytest.param(_raw_frame(9, Op.FGL_LOCK, (1).to_bytes(8, "big")),
+                 ErrCode.PROTOCOL, "unknown table tag 9", id="cc-header-tag"),
+    pytest.param(_raw_frame(TableId.SEQNO, Op.READ, bytes([0x55]) + _CC_BYTES[1:] + _KEY.encode()),
+                 ErrCode.MALFORMED, "unknown scheme 85", id="cc-block-scheme"),
+    pytest.param(_raw_frame(TableId.SEQNO, Op.READ, _CC_BYTES + bytes([9]) + _KEY.encode()[1:]),
+                 ErrCode.MALFORMED, "unknown table tag 9", id="body-key-tag"),
+    pytest.param(_raw_frame(TableId.SEQNO, 0x7F, b""),
+                 ErrCode.MALFORMED, "unknown opcode 0x7f", id="opcode"),
+])
+def test_unknown_codes_get_pinned_errors(frame_bytes, code, message):
+    _, opcode, body = wire.decode_reply(one_node().handle_frame(frame_bytes))
+    assert opcode is Op.ERR
+    assert wire.decode_err(body) == (code, message)
 
 
 class TestSnapshot:

@@ -126,3 +126,10 @@ class TestFrames:
     def test_trailing_bytes_rejected(self):
         with pytest.raises(ProtocolError):
             wire.decode_storage_body(Op.READ, TableId.SEQNO, seqno_key(1).encode() + b"!")
+
+
+@pytest.mark.parametrize("opcode", [Op.PING, Op.READ, Op.FGL_LOCK, 0x7F])
+def test_reply_with_a_request_opcode_rejected(opcode):
+    reply = wire.frame(wire.encode_header(6, None, opcode))
+    with pytest.raises(ProtocolError, match=f"unexpected reply opcode {opcode:#x}"):
+        wire.decode_reply(reply)

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from conftest import make_cluster, make_ctx
+from helenos import cc, driver
 from helenos import workload as wl
 from helenos.cc import TxnContext, run_atomic
-from helenos.config import ScenarioConfig, TaskType
+from helenos.config import ScenarioConfig, TaskType, load_scenario
 from helenos.driver import cluster_snapshot, run_in_process
+from helenos.errors import AccessSetError
 from helenos.metrics import Commit, RetryStart, TxnStart
 from helenos.model import (
     Message,
@@ -24,7 +27,7 @@ from helenos.model import (
     term_key,
 )
 from helenos.store import pack_snapshot
-from helenos.verify import state_from_snapshot
+from helenos.verify import build_history, state_from_snapshot
 from helenos.wire import Scheme, WriteSeq
 
 B = 8
@@ -260,6 +263,34 @@ class TestSendMsg:
         (stored,) = state[message_key(USER_B)]
         assert stored.content == (W1, W1, W1)
 
+    @staticmethod
+    def count_hashing(monkeypatch) -> Counter:
+        """Count ``bucket_of`` calls by key, in the planner and in the view."""
+        hashed: Counter = Counter()
+
+        def counting(key, buckets_per_table):
+            hashed[key] += 1
+            return bucket_of(key, buckets_per_table)
+
+        monkeypatch.setattr(wl, "bucket_of", counting)
+        monkeypatch.setattr(cc, "bucket_of", counting)
+        return hashed
+
+    def test_each_distinct_key_hashed_once(self, rig, monkeypatch):
+        hashed = self.count_hashing(monkeypatch)
+        rig.send(A, USER_B, [W1, W2, W1])
+        keys = [seqno_key(USER_B), message_key(USER_B), inter_key(A, USER_B),
+                inter_key(USER_B, A), term_key(USER_B, W1), term_key(USER_B, W2)]
+        assert hashed == Counter(keys)
+
+    def test_undeclared_key_still_refused(self, rig, monkeypatch):
+        plan = wl.plan_send_msg(B, A, USER_B, [W1])
+        stray = next(seqno_key(u) for u in range(100) if bucket_of(seqno_key(u), B) not in plan)
+        hashed = self.count_hashing(monkeypatch)
+        with pytest.raises(AccessSetError):
+            run_atomic(rig.ctx, "send_msg", plan, lambda tx: tx.read(stray))
+        assert hashed == Counter([stray])
+
 
 class TestRemoveMessages:
     def test_empty_is_noop(self, rig):
@@ -486,3 +517,22 @@ class TestRunClients:
         cfg = self.small_cfg(clients=3, tasks_per_client=4, scheme=Scheme.FGL)
         artifacts = run_in_process(cfg)
         assert artifacts.commits <= 3 * 4 * 3
+
+    def test_history_built_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counting(events):
+            calls.append(len(events))
+            return build_history(events)
+
+        monkeypatch.setattr(driver, "build_history", counting)
+        artifacts = run_in_process(self.small_cfg())
+        assert calls == []
+        assert artifacts.history == build_history(artifacts.events)
+        assert artifacts.history is artifacts.history
+        assert calls == [len(artifacts.events)]
+
+    def test_glock_mean_ops_per_txn_pinned(self):
+        # c08's k on the standard mix: 630 ops over 96 committed txns.
+        cfg = replace(load_scenario("standard"), scheme=Scheme.GLOCK, op_delay_ms=0)
+        assert run_in_process(cfg).mean_ops_per_txn() == 630 / 96
