@@ -251,17 +251,29 @@ def aggregate(events: Iterable[Event], total_time_s: float | None = None) -> Met
 # Event log serialization (TSV)
 
 
-def _json_value(value: object) -> object:
-    if isinstance(value, Message):
-        return {"m": [list(value.id), value.sender, value.recipient,
-                      list(value.content), value.timestamp]}
-    if isinstance(value, SeqPair):
-        return {"s": list(value)}
-    if isinstance(value, MsgId):
-        return {"i": list(value)}
-    if isinstance(value, tuple):
-        return {"l": [_json_value(v) for v in value]}
-    return value
+# One compact encoder and decoder for every row: ``json.dumps`` with
+# ``separators`` builds a new encoder per call.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+_decode_json = json.JSONDecoder().decode
+
+_TABLE_BY_NAME = {table.name: table for table in TableId}
+
+
+def _value_json(value: object) -> str:
+    """Compact JSON of a recorded value: tagged lists for the model's types."""
+    cls = type(value)
+    if cls is tuple:
+        return '{"l":[' + ",".join(map(_value_json, value)) + "]}"
+    if cls is MsgId:
+        return f'{{"i":[{value.recipient},{value.seq}]}}'
+    if cls is SeqPair:
+        return f'{{"s":[{value.current},{value.deleted}]}}'
+    if cls is Message:
+        mid = value.id
+        content = ",".join(map(str, value.content))
+        return (f'{{"m":[[{mid.recipient},{mid.seq}],{value.sender},{value.recipient},'
+                f"[{content}],{value.timestamp}]}}")
+    return _encode_json(value)
 
 
 def _value_from_json(obj: object) -> object:
@@ -284,39 +296,58 @@ def _key_to_str(key: TableKey) -> str:
 
 def _key_from_str(text: str) -> TableKey:
     table_name, _, parts = text.partition(":")
-    return TableKey(TableId[table_name], tuple(int(p) for p in parts.split(",")))
+    return TableKey(_TABLE_BY_NAME[table_name], tuple(int(p) for p in parts.split(",")))
+
+
+def _bucket_from_str(text: str) -> BucketId:
+    table_name, _, index = text.partition(":")
+    return BucketId(_TABLE_BY_NAME[table_name], int(index))
 
 
 def write_event_log(events: Iterable[Event], out: io.TextIOBase) -> None:
+    # A run touches few distinct buckets, keys and op kinds: format each once.
+    buckets: dict[BucketId, str] = {}
+    keys: dict[TableKey, str] = {}
+    kinds: dict[str, str] = {}
+    write = out.write
     for ev in events:
-        if isinstance(ev, ClientStart):
-            row = [ev.time_ns, "client_start", "-", ev.client_id, "-", "-", "-"]
-        elif isinstance(ev, ClientEnd):
-            row = [ev.time_ns, "client_end", "-", ev.client_id, "-", "-", "-"]
-        elif isinstance(ev, TxnStart):
-            row = [ev.time_ns, "txn_start", ev.txn_id, ev.client_id, 1, "-", ev.kind]
-        elif isinstance(ev, RetryStart):
-            row = [ev.time_ns, "retry_start", ev.txn_id, ev.client_id, ev.attempt, "-", "-"]
-        elif isinstance(ev, Commit):
-            row = [ev.time_ns, "commit", ev.txn_id, ev.client_id, ev.attempt, "-", "-"]
+        cls = type(ev)
+        if cls is BucketOp:
+            bucket = buckets.get(ev.bucket)
+            if bucket is None:
+                bucket = buckets[ev.bucket] = f"{ev.bucket.table.name}:{ev.bucket.index}"
+            key = keys.get(ev.key)
+            if key is None:
+                key = keys[ev.key] = _encode_json(_key_to_str(ev.key))
+            kind = kinds.get(ev.kind)
+            if kind is None:
+                kind = kinds[ev.kind] = _encode_json(ev.kind)
+            # The same bytes as json.dumps of {kind, i, key, value, seq}, in that
+            # order, with compact separators: the event-log columns are frozen.
+            write(
+                f"{ev.time_ns}\tbucket_op\t{ev.txn_id}\t{ev.client_id}\t{ev.attempt}\t{bucket}"
+                f'\t{{"kind":{kind},"i":{ev.op_index},"key":{key},'
+                f'"value":{_value_json(ev.value)},"seq":{ev.bucket_seq}}}\n'
+            )
+        elif cls is TxnStart:
+            write(f"{ev.time_ns}\ttxn_start\t{ev.txn_id}\t{ev.client_id}\t1\t-\t{ev.kind}\n")
+        elif cls is Commit:
+            write(f"{ev.time_ns}\tcommit\t{ev.txn_id}\t{ev.client_id}\t{ev.attempt}\t-\t-\n")
+        elif cls is RetryStart:
+            write(
+                f"{ev.time_ns}\tretry_start\t{ev.txn_id}\t{ev.client_id}\t{ev.attempt}\t-\t-\n"
+            )
+        elif cls is ClientStart:
+            write(f"{ev.time_ns}\tclient_start\t-\t{ev.client_id}\t-\t-\t-\n")
         else:
-            op = {
-                "kind": ev.kind,
-                "i": ev.op_index,
-                "key": _key_to_str(ev.key),
-                "value": _json_value(ev.value),
-                "seq": ev.bucket_seq,
-            }
-            row = [
-                ev.time_ns, "bucket_op", ev.txn_id, ev.client_id, ev.attempt,
-                f"{ev.bucket.table.name}:{ev.bucket.index}",
-                json.dumps(op, separators=(",", ":")),
-            ]
-        out.write("\t".join(str(c) for c in row) + "\n")
+            write(f"{ev.time_ns}\tclient_end\t-\t{ev.client_id}\t-\t-\t-\n")
 
 
 def read_event_log(lines: Iterable[str]) -> list[Event]:
+    buckets: dict[str, BucketId] = {}
+    keys: dict[str, TableKey] = {}
     events: list[Event] = []
+    append = events.append
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line:
@@ -326,27 +357,26 @@ def read_event_log(lines: Iterable[str]) -> list[Event]:
             raise VerificationError(f"event log line {lineno}: expected 7 columns")
         time_ns, kind, txn, client, attempt, bucket, op = cols
         t = int(time_ns)
-        if kind == "client_start":
-            events.append(ClientStart(t, int(client)))
-        elif kind == "client_end":
-            events.append(ClientEnd(t, int(client)))
+        if kind == "bucket_op":
+            bucket_id = buckets.get(bucket)
+            if bucket_id is None:
+                bucket_id = buckets[bucket] = _bucket_from_str(bucket)
+            desc = _decode_json(op)
+            key = keys.get(desc["key"])
+            if key is None:
+                key = keys[desc["key"]] = _key_from_str(desc["key"])
+            append(BucketOp(t, int(txn), int(client), int(attempt), bucket_id, desc["i"],
+                            desc["kind"], key, _value_from_json(desc["value"]), desc["seq"]))
         elif kind == "txn_start":
-            events.append(TxnStart(t, int(txn), int(client), op))
-        elif kind == "retry_start":
-            events.append(RetryStart(t, int(txn), int(client), int(attempt)))
+            append(TxnStart(t, int(txn), int(client), op))
         elif kind == "commit":
-            events.append(Commit(t, int(txn), int(client), int(attempt)))
-        elif kind == "bucket_op":
-            table_name, _, index = bucket.partition(":")
-            desc = json.loads(op)
-            events.append(
-                BucketOp(
-                    t, int(txn), int(client), int(attempt),
-                    BucketId(TableId[table_name], int(index)),
-                    desc["i"], desc["kind"], _key_from_str(desc["key"]),
-                    _value_from_json(desc["value"]), desc["seq"],
-                )
-            )
+            append(Commit(t, int(txn), int(client), int(attempt)))
+        elif kind == "retry_start":
+            append(RetryStart(t, int(txn), int(client), int(attempt)))
+        elif kind == "client_start":
+            append(ClientStart(t, int(client)))
+        elif kind == "client_end":
+            append(ClientEnd(t, int(client)))
         else:
             raise VerificationError(f"event log line {lineno}: unknown kind {kind!r}")
     return events

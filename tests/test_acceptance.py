@@ -30,6 +30,7 @@ from helenos.transport import TcpNodeServer, TcpTransport
 from helenos.verify import (
     brute_force_serializable,
     check_integrity,
+    conflict_graph_serializable,
     state_from_snapshot,
 )
 from helenos.wire import Scheme
@@ -83,6 +84,8 @@ def test_c02_zero_abort_guarantee():
             assert report.abort_ratio == 0.0, f"{scheme.name} aborted"
             assert report.retry_rate == 1.0, f"{scheme.name} retried"
             assert wall < 300, f"{scheme.name} took {wall:.0f}s, budget 300s"
+            verdict = conflict_graph_serializable(artifacts.history)
+            assert verdict.ok, f"{scheme.name}: {verdict.detail}"
 
 
 def test_c03_occ_forced_conflict():
@@ -134,6 +137,8 @@ def test_c04_serializability_oracle():
                 state = state_from_snapshot(artifacts.snapshot)
                 verdict = brute_force_serializable(artifacts.history, state)
                 assert verdict.ok, f"{scheme.name} seed {seed}: {verdict.detail}"
+                graph = conflict_graph_serializable(artifacts.history)
+                assert graph.ok, f"{scheme.name} seed {seed}: {graph.detail}"
         history, final = write_skew_history()
         assert not brute_force_serializable(history, final).ok
 
@@ -151,6 +156,8 @@ def test_c05_integrity_across_scenarios():
                 assert verdict.ok, (
                     f"{scheme.name} on {name}: {verdict.violations[:3]}"
                 )
+                graph = conflict_graph_serializable(artifacts.history)
+                assert graph.ok, f"{scheme.name} on {name}: {graph.detail}"
 
 
 def _median_throughputs(cfg_base: ScenarioConfig, field: str, values, reps=5):

@@ -7,6 +7,8 @@ import io
 
 import pytest
 
+from helenos.config import load_scenario
+from helenos.driver import run_in_process
 from helenos.errors import VerificationError
 from helenos.metrics import (
     BucketOp,
@@ -20,7 +22,18 @@ from helenos.metrics import (
     read_event_log,
     write_event_log,
 )
-from helenos.model import BucketId, Message, MsgId, SeqPair, TableId, seqno_key, term_key
+from helenos.model import (
+    BucketId,
+    Message,
+    MsgId,
+    SeqPair,
+    TableId,
+    inter_key,
+    message_key,
+    seqno_key,
+    term_key,
+)
+from helenos.wire import Scheme
 
 S = 1_000_000_000  # ns per second
 BUCKET = BucketId(TableId.SEQNO, 3)
@@ -147,7 +160,9 @@ class TestAggregateFixture:
 
 class TestEventLogCodec:
     def events_with_values(self) -> list:
+        """Every event type, and every value shape the ``op`` column encodes."""
         msg = Message(MsgId(2, 1), 1, 2, (4, 5), 7)
+        bare = Message(MsgId(3, 9), 4, 3, (), 0)
         return [
             ClientStart(5, 0),
             TxnStart(6, 1, 0, "send_msg"),
@@ -156,10 +171,63 @@ class TestEventLogCodec:
             BucketOp(8, 1, 0, 1, BUCKET, 2, "incr_seq", seqno_key(2), SeqPair(1, 0), 12),
             BucketOp(9, 1, 0, 1, BucketId(TableId.INTER, 0), 3,
                      "read", seqno_key(2), (MsgId(2, 1), MsgId(2, 2)), 13),
+            BucketOp(9, 1, 0, 1, BucketId(TableId.TERM, 5), 4,
+                     "remove", term_key(2, 4), MsgId(2, 1), 14),
+            BucketOp(9, 1, 0, 1, BucketId(TableId.TERM, 6), 5,
+                     "read", term_key(3, 8), (), 1),
+            BucketOp(9, 1, 0, 1, BucketId(TableId.MESSAGE, 1), 6,
+                     "read", message_key(3), (msg, bare), 2),
+            BucketOp(9, 1, 0, 1, BUCKET, 7, "write_seq", seqno_key(2), SeqPair(4, 2), 15),
+            # Any other value is written as plain JSON.
+            BucketOp(9, 1, 0, 1, BUCKET, 8, "read", inter_key(1, 2), 17, 16),
             RetryStart(10, 1, 0, 2),
             Commit(11, 1, 0, 2),
             ClientEnd(12, 0),
         ]
+
+    # The event-log columns are frozen: these bytes must never change.
+    GOLDEN = (
+        '5\tclient_start\t-\t0\t-\t-\t-\n'
+        '6\ttxn_start\t1\t0\t1\t-\tsend_msg\n'
+        '7\tbucket_op\t1\t0\t1\tMESSAGE:2\t{"kind":"append","i":1,"key":"TERM:2,4",'
+        '"value":{"m":[[2,1],1,2,[4,5],7]},"seq":11}\n'
+        '8\tbucket_op\t1\t0\t1\tSEQNO:3\t{"kind":"incr_seq","i":2,"key":"SEQNO:2",'
+        '"value":{"s":[1,0]},"seq":12}\n'
+        '9\tbucket_op\t1\t0\t1\tINTER:0\t{"kind":"read","i":3,"key":"SEQNO:2",'
+        '"value":{"l":[{"i":[2,1]},{"i":[2,2]}]},"seq":13}\n'
+        '9\tbucket_op\t1\t0\t1\tTERM:5\t{"kind":"remove","i":4,"key":"TERM:2,4",'
+        '"value":{"i":[2,1]},"seq":14}\n'
+        '9\tbucket_op\t1\t0\t1\tTERM:6\t{"kind":"read","i":5,"key":"TERM:3,8",'
+        '"value":{"l":[]},"seq":1}\n'
+        '9\tbucket_op\t1\t0\t1\tMESSAGE:1\t{"kind":"read","i":6,"key":"MESSAGE:3",'
+        '"value":{"l":[{"m":[[2,1],1,2,[4,5],7]},{"m":[[3,9],4,3,[],0]}]},"seq":2}\n'
+        '9\tbucket_op\t1\t0\t1\tSEQNO:3\t{"kind":"write_seq","i":7,"key":"SEQNO:2",'
+        '"value":{"s":[4,2]},"seq":15}\n'
+        '9\tbucket_op\t1\t0\t1\tSEQNO:3\t{"kind":"read","i":8,"key":"INTER:1,2",'
+        '"value":17,"seq":16}\n'
+        '10\tretry_start\t1\t0\t2\t-\t-\n'
+        '11\tcommit\t1\t0\t2\t-\t-\n'
+        '12\tclient_end\t-\t0\t-\t-\t-\n'
+    )
+
+    def test_golden_bytes(self):
+        buf = io.StringIO()
+        write_event_log(self.events_with_values(), buf)
+        assert buf.getvalue() == self.GOLDEN
+        assert read_event_log(io.StringIO(self.GOLDEN)) == self.events_with_values()
+
+    @pytest.mark.parametrize("scheme", [Scheme.GLOCK, Scheme.OCC], ids=["glock", "occ"])
+    def test_seeded_run_round_trips(self, scheme):
+        cfg = dataclasses.replace(load_scenario("standard"), scheme=scheme, nodes=2, clients=4,
+                      tasks_per_client=6, op_delay_ms=0, seed=31)
+        events = run_in_process(cfg).events
+        first = io.StringIO()
+        write_event_log(events, first)
+        decoded = read_event_log(io.StringIO(first.getvalue()))
+        assert decoded == events
+        second = io.StringIO()
+        write_event_log(decoded, second)
+        assert second.getvalue() == first.getvalue()
 
     def test_round_trip(self):
         events = self.events_with_values()

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from helenos import verify
 from helenos.config import ScenarioConfig, TaskType
 from helenos.driver import run_in_process
 from helenos.errors import VerificationError
@@ -60,6 +61,60 @@ def write_skew_history() -> tuple[History, dict]:
     return history, final
 
 
+def lost_update_history() -> tuple[History, dict]:
+    """Both transactions read X, then both write X: one update is lost."""
+    t1 = TxnEffect(1, "lost", 100, [
+        EffectOp(1, BX, "read", KX, SeqPair(0, 0), 1),
+        EffectOp(2, BX, "write_seq", KX, SeqPair(1, 0), 3),
+    ])
+    t2 = TxnEffect(2, "lost", 101, [
+        EffectOp(1, BX, "read", KX, SeqPair(0, 0), 2),
+        EffectOp(2, BX, "write_seq", KX, SeqPair(1, 0), 4),
+    ])
+    history = History(
+        effects=[t1, t2],
+        bucket_order={BX: [(1, 1, "read"), (2, 2, "read"), (3, 1, "write_seq"),
+                           (4, 2, "write_seq")]},
+    )
+    return history, {KX: SeqPair(1, 0)}
+
+
+def stale_read_history() -> tuple[History, dict]:
+    """T3 sees T2's write, which read T1's write, yet reads X from before T1."""
+    t1 = TxnEffect(1, "w", 100, [EffectOp(1, BX, "write_seq", KX, SeqPair(1, 0), 2)])
+    t2 = TxnEffect(2, "rw", 101, [
+        EffectOp(1, BX, "read", KX, SeqPair(1, 0), 3),
+        EffectOp(2, BY, "write_seq", KY, SeqPair(1, 0), 1),
+    ])
+    t3 = TxnEffect(3, "rr", 102, [
+        EffectOp(1, BY, "read", KY, SeqPair(1, 0), 2),
+        EffectOp(2, BX, "read", KX, SeqPair(0, 0), 1),
+    ])
+    history = History(
+        effects=[t1, t2, t3],
+        bucket_order={
+            BX: [(1, 3, "read"), (2, 1, "write_seq"), (3, 2, "read")],
+            BY: [(1, 2, "write_seq"), (2, 3, "read")],
+        },
+    )
+    return history, {KX: SeqPair(1, 0), KY: SeqPair(1, 0)}
+
+
+def chain_history(n: int) -> History:
+    """Transaction i writes bucket i-1, which transaction i-1 wrote, and bucket i."""
+    buckets = [BucketId(TableId.SEQNO, i) for i in range(n)]
+    effects = []
+    bucket_order: dict = {b: [] for b in buckets}
+    for i in range(n):
+        ops = []
+        for op_index, b in enumerate(buckets[max(i - 1, 0):i + 1], start=1):
+            seq = len(bucket_order[b]) + 1
+            ops.append(EffectOp(op_index, b, "write_seq", seqno_key(b.index), SeqPair(i, 0), seq))
+            bucket_order[b].append((seq, i, "write_seq"))
+        effects.append(TxnEffect(i, "chain", i, ops))
+    return History(effects, bucket_order)
+
+
 def small_cfg(**kw) -> ScenarioConfig:
     base = dict(nodes=2, buckets=2, clients=2, tasks_per_client=1,
                 user_population=4, keyword_domain=8, op_delay_ms=0,
@@ -108,12 +163,26 @@ class TestBruteForce:
         bad = brute_force_serializable(history, {KX: SeqPair(5, 0)})
         assert not bad.ok  # increment from (0,0) cannot yield (5,0)
 
+    @pytest.mark.parametrize("make", [lost_update_history, stale_read_history],
+                             ids=["lost_update", "stale_read"])
+    def test_anomaly_is_rejected(self, make):
+        history, final = make()
+        assert not brute_force_serializable(history, final).ok
+
     def test_limit_enforced(self):
         effects = [TxnEffect(i, "t", i, [EffectOp(1, BX, "read", KX, SeqPair(0, 0), i)])
                    for i in range(11)]
         history = History(effects, {})
         with pytest.raises(VerificationError):
             check_serializable(history, {}, brute_force_limit=10)
+
+
+@pytest.fixture
+def no_cycle_search(monkeypatch):
+    def refuse(_edges):
+        raise AssertionError("cycle search on an acyclic graph")
+
+    monkeypatch.setattr(verify, "_shortest_cycle", refuse)
 
 
 class TestConflictGraph:
@@ -129,6 +198,44 @@ class TestConflictGraph:
         artifacts = run_in_process(cfg)
         verdict = conflict_graph_serializable(artifacts.history)
         assert verdict.ok
+
+    @pytest.mark.parametrize("make, cycle", [(lost_update_history, [1, 2]),
+                                             (stale_read_history, [1, 2, 3])],
+                             ids=["lost_update", "stale_read"])
+    def test_anomaly_cycle(self, make, cycle):
+        history, _final = make()
+        verdict = conflict_graph_serializable(history)
+        assert not verdict.ok
+        assert verdict.cycle == cycle
+        assert verdict.detail == "precedence cycle: " + " -> ".join(map(str, cycle))
+
+    def test_witness_order_pinned(self):
+        # Edges 3->1 (BX), 5->2 (BY), 4->3 (BZ); ready transactions are taken
+        # lowest id first and successors are released in ascending id order.
+        bz = BucketId(TableId.SEQNO, 2)
+        effects = [TxnEffect(t, "t", t, []) for t in (1, 2, 3, 4, 5)]
+        history = History(effects, {
+            BX: [(1, 3, "write_seq"), (2, 1, "read")],
+            BY: [(1, 5, "append"), (2, 2, "remove")],
+            bz: [(1, 4, "read"), (2, 3, "incr_seq")],
+        })
+        verdict = conflict_graph_serializable(history)
+        assert verdict.ok
+        assert verdict.witness == [4, 5, 3, 2, 1]
+
+    def test_acyclic_run_never_searches_for_a_cycle(self, scheme, no_cycle_search):
+        cfg = small_cfg(scheme=scheme, clients=3, tasks_per_client=4, seed=29, buckets=4)
+        artifacts = run_in_process(cfg)
+        verdict = conflict_graph_serializable(artifacts.history)
+        assert verdict.ok
+        assert sorted(verdict.witness) == sorted(e.txn_id for e in artifacts.history.effects)
+
+    def test_long_chain_is_checked_without_a_cycle_search(self, no_cycle_search):
+        # A BFS from every transaction is quadratic on this history.
+        n = 20_000
+        verdict = conflict_graph_serializable(chain_history(n))
+        assert verdict.ok
+        assert verdict.witness == list(range(n))
 
     def test_read_read_is_not_a_conflict(self):
         t1 = TxnEffect(1, "r", 10, [EffectOp(1, BX, "read", KX, SeqPair(0, 0), 1)])
