@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Mapping
@@ -122,7 +121,6 @@ class TxnHandle:
         self.descriptor = descriptor
         self.attempt = attempt
         self.remaining = dict(descriptor.access)
-        self.op_counts: Counter[BucketId] = Counter()
         self._op_index = 0
         self._done = False
 
@@ -192,7 +190,6 @@ class TxnHandle:
         body = ctx.call(node, storage_request(request_id, bucket, op, cc), request_id)
         bucket_seq, version, payload = decode_storage_ok(body)
         result = OP_SPECS[type(op)].decode_result(op.key.table, payload)
-        self.op_counts[bucket] += 1
         return result, version, bucket_seq
 
     def _record_op(self, bucket: BucketId, op_index: int, kind: str,
@@ -233,13 +230,11 @@ class FglHandle(TxnHandle):
     def __init__(self, ctx: TxnContext, descriptor: TxnDescriptor, attempt: int) -> None:
         super().__init__(ctx, descriptor, attempt)
         self.held: set[BucketId] = set()
-        self.lock_trace: list[tuple[str, BucketId]] = []
 
     def begin(self) -> None:
         for bucket in sorted(self.descriptor.access):
             self.ctx.cc_call(Op.FGL_LOCK, bucket, self.descriptor.txn_id)
             self.held.add(bucket)
-            self.lock_trace.append(("acquire", bucket))
 
     def _perform(self, bucket: BucketId, op: StorageOp):
         result, _version = self._send_storage(bucket, op, self._next_op_index())
@@ -250,12 +245,10 @@ class FglHandle(TxnHandle):
     def _unlock(self, bucket: BucketId) -> None:
         self.ctx.cc_call(Op.FGL_UNLOCK, bucket, self.descriptor.txn_id)
         self.held.discard(bucket)
-        self.lock_trace.append(("release", bucket))
 
     def _finish(self) -> CommitOutcome:
         for bucket in sorted(self.held):
             self.ctx.cc_call(Op.FGL_UNLOCK, bucket, self.descriptor.txn_id)
-            self.lock_trace.append(("release", bucket))
         self.held.clear()
         return CommitOutcome.COMMITTED
 
@@ -472,7 +465,6 @@ class TxnResult:
     start_ns: int
     commit_ns: int
     attempts: int
-    op_counts: Counter
     payload: Any
 
 
@@ -512,6 +504,6 @@ def run_atomic(
             end = ctx.clock()
             if ctx.sink is not None:
                 ctx.sink.commit(end, txn_id, ctx.client_id, attempt)
-            return TxnResult(kind, txn_id, start, end, attempt, handle.op_counts, payload)
+            return TxnResult(kind, txn_id, start, end, attempt, payload)
         window_ms = min(ctx.backoff_cap_ms, ctx.backoff_base_ms * (2 ** (attempt - 1)))
         ctx.sleep(ctx.backoff_rng.uniform(0.0, window_ms) / 1000.0)

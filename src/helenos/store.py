@@ -2,8 +2,13 @@
 
 A node owns a subset of buckets, applies storage operations to them with
 per-bucket atomicity, and hosts the server side of each concurrency
-scheme: bucket locks, the global lock (on the first node), per-bucket
-supremum/release counters, and commit locks with version validation.
+scheme: bucket locks, the global lock (on the coordinator node), per-bucket
+version turns behind a begin latch, and commit locks with version validation.
+
+Every wait on a node is a ticket turn (``Turns``). A lock is a turn held by
+an owner token (``FifoLock``), and a pesv private version is a ticket on its
+bucket's version turns. Each lock and each bucket's turns has its own
+condition; ``PerBucket`` maps create them on first use.
 
 The frame handler is transport-agnostic: both the TCP listener and the
 in-process loopback feed it whole encoded frames.
@@ -13,7 +18,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,126 +34,122 @@ class QuiesceRefused(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Primitive: a FIFO mutex keyed by opaque owner tokens
+# Primitive: ticket turns, and the per-bucket map that holds them
 
 
-class FifoLock:
-    """Mutual exclusion granted in arrival order."""
+class Turns:
+    """Tickets served in the order they were taken (Mellor-Crummey & Scott,
+    ACM TOCS 1991); the one place a node waits.
+
+    ``take`` hands out tickets 1, 2, ...; ticket t's turn comes once
+    ticket t - 1 is released. ``release`` first waits for that turn, so a
+    ticket released out of order cannot jump the queue.
+    """
+
+    __slots__ = ("_cond", "_taken", "_released")
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
+        self._taken = 0
+        self._released = 0
+
+    def take(self) -> int:
+        with self._cond:
+            self._taken += 1
+            return self._taken
+
+    def _await(self, ticket: int) -> None:  # the caller holds the condition
+        while self._released != ticket - 1:
+            self._cond.wait()
+
+    def await_turn(self, ticket: int) -> None:
+        with self._cond:
+            self._await(ticket)
+
+    def release(self, ticket: int) -> None:
+        with self._cond:
+            self._await(ticket)
+            self._released = ticket
+            self._cond.notify_all()
+
+    def idle(self) -> bool:
+        with self._cond:
+            return self._released == self._taken
+
+
+class FifoLock(Turns):
+    """Mutual exclusion granted in arrival order: a turn held by an owner token."""
+
+    __slots__ = ("_owner",)
+
+    def __init__(self) -> None:
+        super().__init__()
         self._owner: int | None = None
-        self._queue: deque[int] = deque()
 
     def acquire(self, token: int) -> None:
         with self._cond:
-            self._queue.append(token)
-            while self._owner is not None or self._queue[0] != token:
-                self._cond.wait()
-            self._queue.popleft()
+            self._taken += 1
+            self._await(self._taken)
             self._owner = token
 
-    def release(self, token: int) -> None:
+    def release(self, token: int) -> None:  # by owner token, not by ticket
         with self._cond:
             if self._owner != token:
                 raise ProtocolError(f"lock not held by {token}")
             self._owner = None
+            self._released += 1
             self._cond.notify_all()
 
     def owner(self) -> int | None:
         with self._cond:
             return self._owner
 
-    def idle(self) -> bool:
-        with self._cond:
-            return self._owner is None and not self._queue
 
+class PerBucket(dict):
+    """Bucket -> state, created on first use. A lookup of a bucket already
+    present is a plain dict read; only a creation takes the guard."""
 
-class LockTable:
-    """One FIFO mutex per bucket; backs both the 2PL and commit-lock schemes."""
-
-    def __init__(self) -> None:
-        self._locks: dict[BucketId, FifoLock] = {}
+    def __init__(self, factory: Callable[[], object]) -> None:
+        super().__init__()
+        self._factory = factory
         self._guard = threading.Lock()
 
-    def _lock(self, bucket: BucketId) -> FifoLock:
+    def __missing__(self, bucket: BucketId):
         with self._guard:
-            lock = self._locks.get(bucket)
-            if lock is None:
-                lock = self._locks[bucket] = FifoLock()
-            return lock
+            return self.setdefault(bucket, self._factory())
 
-    def acquire(self, bucket: BucketId, txn: int) -> None:
-        self._lock(bucket).acquire(txn)
-
-    def release(self, bucket: BucketId, txn: int) -> None:
-        self._lock(bucket).release(txn)
-
-    def owner(self, bucket: BucketId) -> int | None:
-        return self._lock(bucket).owner()
-
-    def idle(self) -> bool:
+    def states(self) -> list:
         with self._guard:
-            locks = list(self._locks.values())
-        return all(lock.idle() for lock in locks)
+            return list(self.values())
 
 
 class SupremumTable:
-    """Per-bucket version counters with FIFO hand-off.
+    """Per-bucket version turns behind a per-bucket begin latch.
 
     A transaction reserves a private version with ``take`` (the begin
     latch is held from the first ``take`` until ``unlatch`` so that a
     whole access set is versioned atomically), then each access waits for
-    its turn and ``release`` hands the bucket to the next version.
+    its version's turn and ``release`` hands the bucket to the next one.
     """
 
-    @dataclass
-    class _State:
-        supremum: int = 0
-        released: int = 0
-
     def __init__(self) -> None:
-        self._latches = LockTable()
-        self._states: dict[BucketId, SupremumTable._State] = {}
-        self._cond = threading.Condition()
-
-    def _state(self, bucket: BucketId) -> "SupremumTable._State":
-        st = self._states.get(bucket)
-        if st is None:
-            st = self._states[bucket] = self._State()
-        return st
+        self.latches = PerBucket(FifoLock)
+        self.versions = PerBucket(Turns)
 
     def take(self, bucket: BucketId, txn: int) -> int:
-        self._latches.acquire(bucket, txn)
-        with self._cond:
-            st = self._state(bucket)
-            st.supremum += 1
-            return st.supremum
+        self.latches[bucket].acquire(txn)
+        return self.versions[bucket].take()
 
     def unlatch(self, bucket: BucketId, txn: int) -> None:
-        self._latches.release(bucket, txn)
+        self.latches[bucket].release(txn)
 
     def await_turn(self, bucket: BucketId, private_version: int) -> None:
-        with self._cond:
-            st = self._state(bucket)
-            while st.released != private_version - 1:
-                self._cond.wait()
+        self.versions[bucket].await_turn(private_version)
 
     def release(self, bucket: BucketId, private_version: int) -> None:
         # Waits for predecessors so a commit-time release of an untouched
         # bucket cannot jump the queue.
-        with self._cond:
-            st = self._state(bucket)
-            while st.released != private_version - 1:
-                self._cond.wait()
-            st.released = private_version
-            self._cond.notify_all()
-
-    def idle(self) -> bool:
-        if not self._latches.idle():
-            return False
-        with self._cond:
-            return all(st.released == st.supremum for st in self._states.values())
+        self.versions[bucket].release(private_version)
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +168,9 @@ class StorageEngine:
     """Bucket contents plus per-bucket versions and apply counters."""
 
     def __init__(self) -> None:
-        self._buckets: dict[BucketId, _BucketState] = {}
+        self._buckets = PerBucket(_BucketState)
         self._guard = threading.Lock()
         self._ts = 0
-
-    def _bucket(self, bucket: BucketId) -> _BucketState:
-        with self._guard:
-            st = self._buckets.get(bucket)
-            if st is None:
-                st = self._buckets[bucket] = _BucketState()
-            return st
 
     def next_timestamp(self) -> int:
         with self._guard:
@@ -185,18 +178,18 @@ class StorageEngine:
             return self._ts
 
     def version(self, bucket: BucketId) -> int:
-        st = self._bucket(bucket)
+        st = self._buckets[bucket]
         with st.lock:
             return st.version
 
     def bump_version(self, bucket: BucketId) -> None:
-        st = self._bucket(bucket)
+        st = self._buckets[bucket]
         with st.lock:
             st.version += 1
 
     def apply(self, bucket: BucketId, op: StorageOp) -> tuple[int, int, object]:
         """Apply one op atomically; returns (bucket seq, version, result)."""
-        st = self._bucket(bucket)
+        st = self._buckets[bucket]
         key = op.key
         with st.lock:
             st.seq += 1
@@ -219,9 +212,7 @@ class StorageEngine:
     def dump_entries(self) -> list[tuple[bytes, bytes]]:
         """All (key encoding, entry encoding) pairs, sorted by key encoding."""
         out: list[tuple[bytes, bytes]] = []
-        with self._guard:
-            buckets = list(self._buckets.items())
-        for _bucket, st in buckets:
+        for st in self._buckets.states():
             with st.lock:
                 for key, entry in st.data.items():
                     out.append((key.encode(), wire.encode_entry(key.table, entry)))
@@ -276,10 +267,10 @@ class Node:
         self.node_id = node_id
         self.layout = layout
         self.engine = StorageEngine()
-        self.fgl = LockTable()
+        self.fgl = PerBucket(FifoLock)
         self.glock = FifoLock()
         self.suprema = SupremumTable()
-        self.occ = LockTable()
+        self.occ = PerBucket(FifoLock)
         self.stopping = threading.Event()
         self._sleep = sleep
         self._active = 0
@@ -299,7 +290,9 @@ class Node:
         with self._active_guard:
             if self._active:
                 return False
-        return self.fgl.idle() and self.glock.idle() and self.suprema.idle() and self.occ.idle()
+        registries = (self.fgl, self.occ, self.suprema.latches, self.suprema.versions)
+        turns = [self.glock, *(t for registry in registries for t in registry.states())]
+        return all(t.idle() for t in turns)
 
     # -- dispatch ------------------------------------------------------
 
@@ -366,10 +359,10 @@ class Node:
 
         bucket = self._bucket_from_header(tag, index)
         if opcode is Op.FGL_LOCK:
-            self.fgl.acquire(bucket, txn)
+            self.fgl[bucket].acquire(txn)
             return wire.ok_reply(request_id)
         if opcode is Op.FGL_UNLOCK:
-            self.fgl.release(bucket, txn)
+            self.fgl[bucket].release(txn)
             return wire.ok_reply(request_id)
         if opcode is Op.SUP_TAKE:
             pv = self.suprema.take(bucket, txn)
@@ -383,7 +376,7 @@ class Node:
             self.suprema.release(bucket, arg)
             return wire.ok_reply(request_id)
         if opcode is Op.OCC_LOCK:
-            self.occ.acquire(bucket, txn)
+            self.occ[bucket].acquire(txn)
             return wire.ok_reply(request_id)
         if opcode is Op.OCC_VALIDATE:
             if arg is None:
@@ -394,7 +387,7 @@ class Node:
             bump = bool(arg)
             if bump:
                 self.engine.bump_version(bucket)
-            self.occ.release(bucket, txn)
+            self.occ[bucket].release(txn)
             return wire.ok_reply(request_id)
         raise ProtocolError(f"unhandled opcode {opcode:#x}")
 
@@ -404,7 +397,7 @@ class Node:
         # the owner check) always observes it.
         if self.engine.version(bucket) != expected:
             return False
-        owner = self.occ.owner(bucket)
+        owner = self.occ[bucket].owner()
         if owner is not None and owner != txn:
             return False
         return self.engine.version(bucket) == expected
@@ -417,10 +410,10 @@ class Node:
         elif cc.scheme is Scheme.OCC and not isinstance(op, Read):
             if not cc.flags & wire.FLAG_COMMIT_APPLY:
                 raise ProtocolError("optimistic writes must be applied at commit")
-            if self.occ.owner(bucket) != cc.txn_id:
+            if self.occ[bucket].owner() != cc.txn_id:
                 raise ProtocolError("commit apply without holding the commit lock")
         elif cc.scheme is Scheme.FGL:
-            if self.fgl.owner(bucket) != cc.txn_id:
+            if self.fgl[bucket].owner() != cc.txn_id:
                 raise ProtocolError("bucket lock not held by the accessing transaction")
 
         if cc.delay_ms:

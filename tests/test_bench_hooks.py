@@ -2,23 +2,35 @@
 
 ``perfbench/tracing.py`` wraps functions and methods at the names the
 program looks them up by; a rename under ``src/`` would break
-``perfbench/run.py --trace 1`` without failing any other test.
+``perfbench/run.py --trace 1`` without failing any other test, and a
+name left defined but off the path that waits would leave
+``<scheme>.store.wait_ms_per_commit`` reading zero.
 """
 
 from __future__ import annotations
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from helenos import cc, driver, metrics, store, workload
+from helenos.config import load_scenario
+from helenos.wire import Scheme
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_traced_run_patch_targets_resolve():
+@pytest.fixture
+def tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_run_patch_targets_resolve(tracing):
     before = (store.wire, store.Node.handle_frame, store.StorageEngine.apply, cc.decode_entry,
               workload.run_atomic, driver.run_clients, metrics.EventSink.txn_start)
     patches = tracing.Patches()
@@ -31,3 +43,31 @@ def test_traced_run_patch_targets_resolve():
         patches.undo()
     assert (store.wire, store.Node.handle_frame, store.StorageEngine.apply, cc.decode_entry,
             workload.run_atomic, driver.run_clients, metrics.EventSink.txn_start) == before
+
+
+# Wait spans each scheme's node-side calls must record.
+WAIT_SPANS = {
+    Scheme.FGL: ["store.wait.FifoLock.acquire"],
+    Scheme.PESV: ["store.wait.FifoLock.acquire", "store.wait.SupremumTable.take",
+                  "store.wait.SupremumTable.await_turn", "store.wait.SupremumTable.release"],
+}
+
+
+@pytest.mark.parametrize("scheme", WAIT_SPANS, ids=lambda s: s.name.lower())
+def test_traced_run_records_wait_spans(tracing, scheme):
+    cfg = replace(load_scenario("small-w"), nodes=4, buckets=4, op_delay_ms=0, clients=2,
+                  tasks_per_client=5, scheme=scheme, seed=3)
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    try:
+        tracing.install_node_side(tracer, patches)
+        tracing.install_client_side(tracer, patches)
+        artifacts = driver.run_in_process(cfg)
+    finally:
+        patches.undo()
+    summary = tracing.summarize(tracer.spans())
+    commits = artifacts.report.commits
+    assert commits > 0
+    for name in WAIT_SPANS[scheme]:
+        # Every transaction of these schemes passes through each of its waits at least once.
+        calls = summary.get(name, [0])[0]
+        assert calls >= commits, f"{calls} {name} spans for {commits} {scheme.name} commits"

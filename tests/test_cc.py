@@ -19,7 +19,15 @@ from helenos.cc import (
 )
 from helenos.driver import cluster_snapshot
 from helenos.errors import AccessSetError, ConfigError
-from helenos.model import BucketId, SeqPair, TableId, bucket_of, seqno_key, term_key
+from helenos.model import (
+    TABLE_BY_TAG,
+    BucketId,
+    SeqPair,
+    TableId,
+    bucket_of,
+    seqno_key,
+    term_key,
+)
 from helenos.wire import IncrSeq, Op, Read, Scheme, WriteSeq
 
 B = 8
@@ -92,22 +100,37 @@ class TestGLock:
         assert result.attempts == 1
 
 
+class RecordLockFrames:
+    """Transport wrapper that records FGL_LOCK and FGL_UNLOCK frames in send order."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.trace: list[tuple[Op, BucketId]] = []
+
+    def request(self, node_id: str, frame_bytes: bytes) -> bytes:
+        _rid, tag, index, opcode, _rest = wire.decode_header(wire.split_frame(frame_bytes))
+        if opcode in (Op.FGL_LOCK, Op.FGL_UNLOCK):
+            self.trace.append((Op(opcode), BucketId(TABLE_BY_TAG[tag], index)))
+        return self.inner.request(node_id, frame_bytes)
+
+
 class TestFgl:
     def test_two_phase_discipline(self):
         cluster = make_cluster(2)
         ctx = make_ctx(cluster, Scheme.FGL)
+        ctx.transport = recorder = RecordLockFrames(cluster)
         plan = {seq_bucket(1): 1, seq_bucket(2): 1, seq_bucket(3): 2}
         handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), plan))
         handle.access(seq_bucket(1), Read(seqno_key(1)))
         handle.access(seq_bucket(3), Read(seqno_key(3)))
         handle.commit()
-        trace = handle.lock_trace
-        first_release = next(i for i, (what, _) in enumerate(trace) if what == "release")
-        assert all(what == "acquire" for what, _ in trace[:first_release])
-        assert all(what == "release" for what, _ in trace[first_release:])
-        acquired = [b for what, b in trace if what == "acquire"]
+        trace = recorder.trace
+        first_release = next(i for i, (what, _) in enumerate(trace) if what is Op.FGL_UNLOCK)
+        assert all(what is Op.FGL_LOCK for what, _ in trace[:first_release])
+        assert all(what is Op.FGL_UNLOCK for what, _ in trace[first_release:])
+        acquired = [b for what, b in trace if what is Op.FGL_LOCK]
         assert acquired == sorted(acquired), "locks not taken in canonical order"
-        released = sorted(b for what, b in trace if what == "release")
+        released = sorted(b for what, b in trace if what is Op.FGL_UNLOCK)
         assert released == sorted(plan)
 
     def test_early_release_lets_second_txn_in(self):

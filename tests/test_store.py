@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import sys
 import threading
 import time
 
@@ -325,6 +326,210 @@ def test_unknown_codes_get_pinned_errors(frame_bytes, code, message):
     assert wire.decode_err(body) == (code, message)
 
 
+# Every verb and control opcode, with the exact reply a node gives it. Each
+# case sends its setup frames to a fresh node first; the replies to those are
+# not checked here. Bucket verbs name the bucket of ``_KEY`` and transaction 7
+# unless the case says otherwise.
+RID = 4
+_BUCKET = bucket_of(_KEY, B)
+_LIST, _ID = inter_key(1, 2), MsgId(2, 1)
+_TWO_NODES = RingLayout.from_node_ids(["node0", "node1"])  # node0 hosts the global lock
+
+
+def _u64(n: int) -> bytes:
+    return n.to_bytes(8, "big")
+
+
+def _verb(opcode: Op, txn: int = 7, arg: int | None = None) -> bytes:
+    bucket = None if opcode in (Op.GLOCK_ACQUIRE, Op.GLOCK_RELEASE) else _BUCKET
+    return wire.cc_request(RID, opcode, bucket, txn, arg)
+
+
+def _op(op, cc: CcBlock = NONE_CC) -> bytes:
+    return wire.storage_request(RID, bucket_of(op.key, B), op, cc)
+
+
+def _ok(body: bytes = b"") -> bytes:
+    return wire.ok_reply(RID, body)
+
+
+def _stored(result: bytes, seq: int = 1, version: int = 0) -> bytes:
+    return _ok(_u64(seq) + _u64(version) + result)
+
+
+def _err(code: ErrCode, message: str) -> bytes:
+    return wire.err_reply(RID, code, message)
+
+
+_LOCK_7 = [_verb(Op.FGL_LOCK)]
+_OCC_7 = [_verb(Op.OCC_LOCK)]
+_TAKEN_7 = [_verb(Op.SUP_TAKE), _verb(Op.SUP_UNLATCH)]
+_OCC_WRITE = CcBlock(Scheme.OCC, 7, 1, 1, flags=wire.FLAG_COMMIT_APPLY)
+_ZERO_PAIR_ENTRY = b"\x02" + _u64(0) + _u64(0)  # a read's reply: entry kind, then the pair
+
+
+def _case(setup: list[bytes], frame_bytes: bytes, reply: bytes, node=one_node):
+    return node, setup, frame_bytes, reply
+
+
+# name: (node factory, setup frames, request frame, exact reply)
+REPLY_CASES = {
+    "read": _case([], _op(Read(_KEY)), _stored(_ZERO_PAIR_ENTRY)),
+    "append": _case([], _op(Append(_LIST, _ID)), _stored(_u64(2) + _u64(1))),
+    "remove": _case([_op(Append(_LIST, _ID))], _op(Remove(_LIST, _ID)),
+                    _stored(_u64(2) + _u64(1), seq=2)),
+    "write seq": _case([], _op(WriteSeq(_KEY, SeqPair(4, 2))), _stored(_u64(4) + _u64(2))),
+    "incr seq": _case([], _op(IncrSeq(_KEY)), _stored(_u64(1) + _u64(0))),
+    "glock acquire": _case([], _verb(Op.GLOCK_ACQUIRE), _ok()),
+    "glock release": _case([_verb(Op.GLOCK_ACQUIRE)], _verb(Op.GLOCK_RELEASE), _ok()),
+    "fgl lock": _case([], _verb(Op.FGL_LOCK), _ok()),
+    "fgl unlock": _case(_LOCK_7, _verb(Op.FGL_UNLOCK), _ok()),
+    "fgl read while locked": _case(_LOCK_7, _op(Read(_KEY), CcBlock(Scheme.FGL, 7, 1, 1)),
+                                   _stored(_ZERO_PAIR_ENTRY)),
+    "sup take": _case([], _verb(Op.SUP_TAKE), _ok(_u64(1))),
+    "sup take second version": _case(_TAKEN_7, _verb(Op.SUP_TAKE, txn=8), _ok(_u64(2))),
+    "sup unlatch": _case([_verb(Op.SUP_TAKE)], _verb(Op.SUP_UNLATCH), _ok()),
+    "ver release": _case(_TAKEN_7, _verb(Op.VER_RELEASE, arg=1), _ok()),
+    "pesv read releasing": _case(_TAKEN_7, _op(Read(_KEY), CcBlock(
+        Scheme.PESV, 7, 1, 1, flags=wire.FLAG_RELEASE_AFTER, private_version=1)),
+        _stored(_ZERO_PAIR_ENTRY)),
+    "occ lock": _case([], _verb(Op.OCC_LOCK), _ok()),
+    "occ validate current": _case(_OCC_7, _verb(Op.OCC_VALIDATE, arg=0), _ok(b"\x01")),
+    "occ validate stale": _case(_OCC_7, _verb(Op.OCC_VALIDATE, arg=3), _ok(b"\x00")),
+    "occ validate unlocked": _case([], _verb(Op.OCC_VALIDATE, arg=0), _ok(b"\x01")),
+    "occ validate locked by other": _case(_OCC_7, _verb(Op.OCC_VALIDATE, txn=9, arg=0),
+                                          _ok(b"\x00")),
+    "occ unlock": _case(_OCC_7, _verb(Op.OCC_UNLOCK), _ok()),
+    "occ unlock bumps version": _case([*_OCC_7, _verb(Op.OCC_UNLOCK, arg=1)], _op(Read(_KEY)),
+                                      _stored(_ZERO_PAIR_ENTRY, version=1)),
+    "occ commit apply": _case(_OCC_7, _op(WriteSeq(_KEY, SeqPair(4, 2)), _OCC_WRITE),
+                              _stored(_u64(4) + _u64(2))),
+    "ping": _case([], wire.control_request(RID, Op.PING), _ok(b"PONG")),
+    "snapshot": _case([], wire.control_request(RID, Op.SNAPSHOT), _ok(b"HELSNAP1" + _u64(0))),
+    "shutdown": _case([], wire.control_request(RID, Op.SHUTDOWN), _ok()),
+    "truncated txn id": _case(
+        [], wire.frame(wire.encode_header(RID, _BUCKET, Op.FGL_LOCK) + bytes(4)),
+        _err(ErrCode.MALFORMED, "truncated txn id")),
+    "ver release without version": _case(_TAKEN_7, _verb(Op.VER_RELEASE),
+                                         _err(ErrCode.MALFORMED, "missing version")),
+    "occ validate without version": _case(_OCC_7, _verb(Op.OCC_VALIDATE),
+                                          _err(ErrCode.MALFORMED, "missing version")),
+    "fgl unlock by non-owner": _case(_LOCK_7, _verb(Op.FGL_UNLOCK, txn=9),
+                                     _err(ErrCode.PROTOCOL, "lock not held by 9")),
+    "fgl unlock unheld": _case([], _verb(Op.FGL_UNLOCK, txn=9),
+                               _err(ErrCode.PROTOCOL, "lock not held by 9")),
+    "occ unlock by non-owner": _case(_OCC_7, _verb(Op.OCC_UNLOCK, txn=9),
+                                     _err(ErrCode.PROTOCOL, "lock not held by 9")),
+    "sup unlatch by non-owner": _case([_verb(Op.SUP_TAKE)], _verb(Op.SUP_UNLATCH, txn=9),
+                                      _err(ErrCode.PROTOCOL, "lock not held by 9")),
+    "glock release by non-owner": _case([_verb(Op.GLOCK_ACQUIRE)], _verb(Op.GLOCK_RELEASE, txn=9),
+                                        _err(ErrCode.PROTOCOL, "lock not held by 9")),
+    "fgl read without lock": _case([], _op(Read(_KEY), CcBlock(Scheme.FGL, 7, 1, 1)),
+                                   _err(ErrCode.PROTOCOL,
+                                        "bucket lock not held by the accessing transaction")),
+    "occ write before commit": _case(
+        _OCC_7, _op(WriteSeq(_KEY, SeqPair(4, 2)), CcBlock(Scheme.OCC, 7, 1, 1)),
+        _err(ErrCode.PROTOCOL, "optimistic writes must be applied at commit")),
+    "occ commit apply without lock": _case([], _op(WriteSeq(_KEY, SeqPair(4, 2)), _OCC_WRITE),
+                                           _err(ErrCode.PROTOCOL,
+                                                "commit apply without holding the commit lock")),
+    "snapshot while locked": _case(_LOCK_7, wire.control_request(RID, Op.SNAPSHOT),
+                                   _err(ErrCode.REFUSED, "transactions in flight")),
+    "ok as request": _case([], wire.control_request(RID, Op.OK),
+                           _err(ErrCode.PROTOCOL, "opcode 0x80 is not a request")),
+    "err as request": _case([], wire.control_request(RID, Op.ERR),
+                            _err(ErrCode.PROTOCOL, "opcode 0x81 is not a request")),
+    "glock acquire off the coordinator": _case(
+        [], _verb(Op.GLOCK_ACQUIRE), _err(ErrCode.ROUTING, "global lock is not hosted on node1"),
+        node=lambda: Node("node1", _TWO_NODES)),
+}
+
+
+@pytest.mark.parametrize("make_node, setup, frame_bytes, reply", REPLY_CASES.values(),
+                         ids=REPLY_CASES)
+def test_node_reply_table(make_node, setup, frame_bytes, reply):
+    node = make_node()
+    for earlier in setup:
+        node.handle_frame(earlier)
+    assert node.handle_frame(frame_bytes) == reply
+
+
+# A held lock, version or latch, as (frames that take it, frames that let it go).
+HOLD_CASES = {
+    "fgl": ([_verb(Op.FGL_LOCK)], [_verb(Op.FGL_UNLOCK)]),
+    "occ": ([_verb(Op.OCC_LOCK)], [_verb(Op.OCC_UNLOCK)]),
+    "glock": ([_verb(Op.GLOCK_ACQUIRE)], [_verb(Op.GLOCK_RELEASE)]),
+    "sup-latched": ([_verb(Op.SUP_TAKE)], [_verb(Op.SUP_UNLATCH), _verb(Op.VER_RELEASE, arg=1)]),
+    "sup-version": (_TAKEN_7, [_verb(Op.VER_RELEASE, arg=1)]),
+}
+
+# (take frame, release frame) per FIFO lock verb.
+LOCK_VERBS = {
+    "fgl": (Op.FGL_LOCK, Op.FGL_UNLOCK),
+    "occ": (Op.OCC_LOCK, Op.OCC_UNLOCK),
+    "glock": (Op.GLOCK_ACQUIRE, Op.GLOCK_RELEASE),
+}
+
+
+@pytest.mark.parametrize("lock, unlock", LOCK_VERBS.values(), ids=LOCK_VERBS)
+def test_lock_granted_in_arrival_order(lock, unlock):
+    node = one_node()
+    assert node.handle_frame(_verb(lock, txn=1)) == _ok()
+    granted: list[int] = []
+
+    def waiter(txn: int) -> None:
+        assert node.handle_frame(_verb(lock, txn=txn)) == _ok()
+        granted.append(txn)
+        assert node.handle_frame(_verb(unlock, txn=txn)) == _ok()
+
+    threads = []
+    for txn in (2, 3, 4, 5):
+        threads.append(threading.Thread(target=waiter, args=(txn,)))
+        threads[-1].start()
+        time.sleep(0.030)  # each waiter queues before the next one arrives
+    assert granted == []
+    assert node.handle_frame(_verb(unlock, txn=1)) == _ok()
+    for t in threads:
+        t.join(5.0)
+    assert granted == [2, 3, 4, 5]
+    assert node.quiescent()
+
+
+@pytest.mark.parametrize("lock, unlock", LOCK_VERBS.values(), ids=LOCK_VERBS)
+def test_racing_first_use_admits_one_holder(lock, unlock):
+    # Six threads race to create each bucket's lock on first use and then
+    # update a counter under it; a second lock for one bucket would let two
+    # holders in and lose updates.
+    node = one_node()
+    buckets = [BucketId(TableId.SEQNO, i) for i in range(8)]
+    counts = dict.fromkeys(buckets, 0)
+
+    def worker(txn: int) -> None:
+        for bucket in buckets:
+            for _ in range(20):
+                node.handle_frame(wire.cc_request(1, lock, bucket, txn))
+                seen = counts[bucket]
+                time.sleep(0)
+                counts[bucket] = seen + 1
+                node.handle_frame(wire.cc_request(2, unlock, bucket, txn))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(txn,), daemon=True)
+                   for txn in range(1, 7)]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 30.0
+        for t in threads:
+            t.join(max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert counts == dict.fromkeys(buckets, 6 * 20)
+    assert node.quiescent()
+
+
 class TestSnapshot:
     def test_fresh_node_snapshot_is_empty(self):
         node = one_node()
@@ -333,16 +538,17 @@ class TestSnapshot:
         assert opcode is Op.OK
         assert unpack_snapshot(body) == []
 
-    def test_snapshot_refused_while_lock_held(self):
+    @pytest.mark.parametrize("hold, release", HOLD_CASES.values(), ids=HOLD_CASES)
+    def test_snapshot_refused_while_lock_held(self, hold, release):
         node = one_node()
-        bucket = BucketId(TableId.SEQNO, 0)
-        node.handle_frame(wire.cc_request(1, Op.FGL_LOCK, bucket, txn_id=7))
-        _, opcode, body = wire.decode_reply(node.handle_frame(wire.control_request(2, Op.SNAPSHOT)))
-        assert opcode is Op.ERR
-        assert wire.decode_err(body)[0] is ErrCode.REFUSED
-        node.handle_frame(wire.cc_request(3, Op.FGL_UNLOCK, bucket, txn_id=7))
-        _, opcode, _ = wire.decode_reply(node.handle_frame(wire.control_request(4, Op.SNAPSHOT)))
-        assert opcode is Op.OK
+        snapshot = wire.control_request(RID, Op.SNAPSHOT)
+        refused = _err(ErrCode.REFUSED, "transactions in flight")
+        for frame_bytes in hold:
+            assert wire.decode_reply(node.handle_frame(frame_bytes))[1] is Op.OK
+        for frame_bytes in release:
+            assert node.handle_frame(snapshot) == refused
+            assert node.handle_frame(frame_bytes) == _ok()
+        assert node.handle_frame(snapshot) == _ok(b"HELSNAP1" + _u64(0))
 
     def test_snapshot_sorted_and_stable(self):
         node = one_node()
