@@ -21,7 +21,8 @@ from .metrics import REPORT_COLUMNS, read_event_log, report_row, write_event_log
 from .model import RingLayout
 from .store import Node
 from .transport import LoopbackCluster, TcpNodeServer, TcpTransport
-from .verify import build_history, check_integrity, check_serializable, state_from_snapshot
+from .verify import (BRUTE_FORCE_LIMIT, build_history, check_integrity, check_serializable,
+                     state_from_snapshot)
 
 log = logging.getLogger("helenos")
 
@@ -300,7 +301,7 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _axis_values(axis: str, text: str) -> list[str]:
+def _axis_values(text: str) -> list[str]:
     values = [v.strip() for v in text.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values is empty")
@@ -313,7 +314,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--repeat must be >= 1")
     field = SWEEP_AXES[args.axis]
     rows = []
-    for value in _axis_values(args.axis, args.values):
+    for value in _axis_values(args.values):
         cfg_v = apply_overrides(base, {field: value})
         for rep in range(args.repeat):
             cfg = replace(cfg_v, seed=cfg_v.seed + rep)
@@ -338,7 +339,7 @@ def cmd_verify(args) -> int:
     history = build_history(events)
     state = state_from_snapshot(snapshot)
 
-    if not args.graph_mode and len(history.effects) > 10:
+    if not args.graph_mode and len(history.effects) > BRUTE_FORCE_LIMIT:
         print(
             f"verify: {len(history.effects)} committed transactions exceed the "
             "brute-force limit; re-run with --graph-mode",

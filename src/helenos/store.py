@@ -11,7 +11,10 @@ bucket's version turns. Each lock and each bucket's turns has its own
 condition; ``PerBucket`` maps create them on first use.
 
 The frame handler is transport-agnostic: both the TCP listener and the
-in-process loopback feed it whole encoded frames.
+in-process loopback feed it whole encoded frames. It looks each frame's
+opcode byte up once in one table, ``_SERVE``, which sends storage ops,
+scheme verbs and control frames each to one server; what a verb does to the
+node is its row in ``_VERBS``.
 """
 
 from __future__ import annotations
@@ -299,20 +302,14 @@ class Node:
     def handle_frame(self, data: bytes) -> bytes:
         try:
             payload = wire.split_frame(data)
-            request_id, tag, index, opcode_raw, rest = wire.decode_header(payload)
+            request_id, tag, index, opcode, rest = wire.decode_header(payload)
         except ProtocolError as exc:
             return wire.err_reply(0, ErrCode.MALFORMED, str(exc))
-        opcode = wire.OP_BY_CODE.get(opcode_raw)
-        if opcode is None:
-            return wire.err_reply(request_id, ErrCode.MALFORMED, f"unknown opcode {opcode_raw:#x}")
+        serve = _SERVE.get(opcode)
+        if serve is None:
+            return wire.err_reply(request_id, ErrCode.MALFORMED, f"unknown opcode {opcode:#x}")
         try:
-            if opcode in wire.STORAGE_OPS or opcode in wire.CC_OPS:
-                self._enter()
-                try:
-                    return self._serve_txn_op(request_id, opcode, tag, index, rest)
-                finally:
-                    self._exit()
-            return self._serve_control(request_id, opcode)
+            return serve(self, request_id, opcode, tag, index, rest)
         except RoutingError as exc:
             return wire.err_reply(request_id, ErrCode.ROUTING, str(exc))
         except QuiesceRefused as exc:
@@ -331,65 +328,58 @@ class Node:
             raise RoutingError(f"bucket {table.name}:{index} is not owned by {self.node_id}")
         return bucket
 
-    def _serve_txn_op(
-        self, request_id: int, opcode: Op, tag: int, index: int, rest: bytes
-    ) -> bytes:
-        if opcode in wire.STORAGE_OPS:
+    def _serve_storage(self, request_id: int, opcode: int, tag: int, index: int,
+                       rest: bytes) -> bytes:
+        self._enter()
+        try:
             bucket = self._bucket_from_header(tag, index)
             try:
                 cc, off = wire.decode_cc(rest)
                 op = wire.decode_storage_body(opcode, bucket.table, rest[off:])
             except ProtocolError as exc:
                 return wire.err_reply(request_id, ErrCode.MALFORMED, str(exc))
-            return self._serve_storage(request_id, bucket, op, cc)
+            scheme = cc.scheme
+            if scheme is _PESV:
+                self.suprema.await_turn(bucket, cc.private_version)
+            elif scheme is _OCC and not isinstance(op, Read):
+                if not cc.flags & wire.FLAG_COMMIT_APPLY:
+                    raise ProtocolError("optimistic writes must be applied at commit")
+                if self.occ[bucket].owner() != cc.txn_id:
+                    raise ProtocolError("commit apply without holding the commit lock")
+            elif scheme is _FGL:
+                if self.fgl[bucket].owner() != cc.txn_id:
+                    raise ProtocolError("bucket lock not held by the accessing transaction")
 
-        if len(rest) < 8:
-            return wire.err_reply(request_id, ErrCode.MALFORMED, "truncated txn id")
-        txn = int.from_bytes(rest[:8], "big")
-        arg = int.from_bytes(rest[8:16], "big") if len(rest) >= 16 else None
+            if cc.delay_ms:
+                self._sleep(cc.delay_ms / 1000.0)
+            seq, version, result = self.engine.apply(bucket, op)
+            if scheme is _PESV and cc.flags & wire.FLAG_RELEASE_AFTER:
+                self.suprema.release(bucket, cc.private_version)
 
-        if opcode in (Op.GLOCK_ACQUIRE, Op.GLOCK_RELEASE):
-            if self.layout.coordinator != self.node_id:
-                raise RoutingError(f"global lock is not hosted on {self.node_id}")
-            if opcode is Op.GLOCK_ACQUIRE:
-                self.glock.acquire(txn)
+            body = wire.OP_SPECS[type(op)].encode_result(op.key.table, result)
+            return wire.ok_reply(request_id, wire.storage_ok_body(seq, version, body))
+        finally:
+            self._exit()
+
+    def _serve_verb(self, request_id: int, opcode: int, tag: int, index: int,
+                    rest: bytes) -> bytes:
+        self._enter()
+        try:
+            if len(rest) < 8:
+                return wire.err_reply(request_id, ErrCode.MALFORMED, "truncated txn id")
+            txn = int.from_bytes(rest[:8], "big")
+            arg = int.from_bytes(rest[8:16], "big") if len(rest) >= 16 else None
+            if opcode in _GLOBAL_VERBS:
+                if self.layout.coordinator != self.node_id:
+                    raise RoutingError(f"global lock is not hosted on {self.node_id}")
+                bucket = None
             else:
-                self.glock.release(txn)
-            return wire.ok_reply(request_id)
-
-        bucket = self._bucket_from_header(tag, index)
-        if opcode is Op.FGL_LOCK:
-            self.fgl[bucket].acquire(txn)
-            return wire.ok_reply(request_id)
-        if opcode is Op.FGL_UNLOCK:
-            self.fgl[bucket].release(txn)
-            return wire.ok_reply(request_id)
-        if opcode is Op.SUP_TAKE:
-            pv = self.suprema.take(bucket, txn)
-            return wire.ok_reply(request_id, pv.to_bytes(8, "big"))
-        if opcode is Op.SUP_UNLATCH:
-            self.suprema.unlatch(bucket, txn)
-            return wire.ok_reply(request_id)
-        if opcode is Op.VER_RELEASE:
-            if arg is None:
-                return wire.err_reply(request_id, ErrCode.MALFORMED, "missing version")
-            self.suprema.release(bucket, arg)
-            return wire.ok_reply(request_id)
-        if opcode is Op.OCC_LOCK:
-            self.occ[bucket].acquire(txn)
-            return wire.ok_reply(request_id)
-        if opcode is Op.OCC_VALIDATE:
-            if arg is None:
-                return wire.err_reply(request_id, ErrCode.MALFORMED, "missing version")
-            ok = self._occ_validate(bucket, txn, arg)
-            return wire.ok_reply(request_id, bytes([1 if ok else 0]))
-        if opcode is Op.OCC_UNLOCK:
-            bump = bool(arg)
-            if bump:
-                self.engine.bump_version(bucket)
-            self.occ[bucket].release(txn)
-            return wire.ok_reply(request_id)
-        raise ProtocolError(f"unhandled opcode {opcode:#x}")
+                bucket = self._bucket_from_header(tag, index)
+                if arg is None and opcode in _VERSION_VERBS:
+                    return wire.err_reply(request_id, ErrCode.MALFORMED, "missing version")
+            return wire.ok_reply(request_id, _VERBS[opcode](self, bucket, txn, arg) or b"")
+        finally:
+            self._exit()
 
     def _occ_validate(self, bucket: BucketId, txn: int, expected: int) -> bool:
         # Version is re-read after the owner check: a competing commit bumps
@@ -402,37 +392,50 @@ class Node:
             return False
         return self.engine.version(bucket) == expected
 
-    def _serve_storage(
-        self, request_id: int, bucket: BucketId, op: StorageOp, cc: wire.CcBlock
-    ) -> bytes:
-        if cc.scheme is Scheme.PESV:
-            self.suprema.await_turn(bucket, cc.private_version)
-        elif cc.scheme is Scheme.OCC and not isinstance(op, Read):
-            if not cc.flags & wire.FLAG_COMMIT_APPLY:
-                raise ProtocolError("optimistic writes must be applied at commit")
-            if self.occ[bucket].owner() != cc.txn_id:
-                raise ProtocolError("commit apply without holding the commit lock")
-        elif cc.scheme is Scheme.FGL:
-            if self.fgl[bucket].owner() != cc.txn_id:
-                raise ProtocolError("bucket lock not held by the accessing transaction")
+    def _occ_unlock(self, bucket: BucketId, txn: int, bump: int | None) -> None:
+        if bump:
+            self.engine.bump_version(bucket)
+        self.occ[bucket].release(txn)
 
-        if cc.delay_ms:
-            self._sleep(cc.delay_ms / 1000.0)
-        seq, version, result = self.engine.apply(bucket, op)
-        if cc.scheme is Scheme.PESV and cc.flags & wire.FLAG_RELEASE_AFTER:
-            self.suprema.release(bucket, cc.private_version)
-
-        body = wire.OP_SPECS[type(op)].encode_result(op.key.table, result)
-        return wire.ok_reply(request_id, wire.storage_ok_body(seq, version, body))
-
-    def _serve_control(self, request_id: int, opcode: Op) -> bytes:
-        if opcode is Op.PING:
+    def _serve_control(self, request_id: int, opcode: int, *_header_and_body) -> bytes:
+        if opcode == Op.PING:
             return wire.ok_reply(request_id, b"PONG")
-        if opcode is Op.SNAPSHOT:
+        if opcode == Op.SNAPSHOT:
             if not self.quiescent():
                 raise QuiesceRefused("transactions in flight")
             return wire.ok_reply(request_id, pack_snapshot(self.engine.dump_entries()))
-        if opcode is Op.SHUTDOWN:
+        if opcode == Op.SHUTDOWN:
             self.stopping.set()
             return wire.ok_reply(request_id)
         raise ProtocolError(f"opcode {opcode:#x} is not a request")
+
+
+# Built once, at import. The per-frame path compares schemes with these
+# constants: reading a member off an Enum class is a slow attribute lookup.
+_PESV, _OCC, _FGL = Scheme.PESV, Scheme.OCC, Scheme.FGL
+_GLOBAL_VERBS = frozenset({Op.GLOCK_ACQUIRE, Op.GLOCK_RELEASE})  # served by the coordinator
+_VERSION_VERBS = frozenset({Op.VER_RELEASE, Op.OCC_VALIDATE})  # refused without the argument
+
+# Verb opcode -> its action on the node: (node, bucket, txn, argument) -> OK
+# body or None. A row reaches the locks and tables through the node's
+# attributes at call time, so a patch of their classes still takes effect.
+_VERBS: dict[int, Callable[[Node, BucketId, int, int | None], bytes | None]] = {
+    Op.GLOCK_ACQUIRE: lambda node, _bucket, txn, _arg: node.glock.acquire(txn),
+    Op.GLOCK_RELEASE: lambda node, _bucket, txn, _arg: node.glock.release(txn),
+    Op.FGL_LOCK: lambda node, bucket, txn, _arg: node.fgl[bucket].acquire(txn),
+    Op.FGL_UNLOCK: lambda node, bucket, txn, _arg: node.fgl[bucket].release(txn),
+    Op.SUP_TAKE: lambda node, bucket, txn, _arg: node.suprema.take(bucket, txn).to_bytes(8, "big"),
+    Op.SUP_UNLATCH: lambda node, bucket, txn, _arg: node.suprema.unlatch(bucket, txn),
+    Op.VER_RELEASE: lambda node, bucket, _txn, version: node.suprema.release(bucket, version),
+    Op.OCC_LOCK: lambda node, bucket, txn, _arg: node.occ[bucket].acquire(txn),
+    Op.OCC_VALIDATE: lambda node, bucket, txn, version: (
+        b"\x01" if node._occ_validate(bucket, txn, version) else b"\x00"),
+    Op.OCC_UNLOCK: Node._occ_unlock,
+}
+
+# Opcode byte -> the method that serves its frame; any other byte is malformed.
+_SERVE: dict[int, Callable[..., bytes]] = {
+    **dict.fromkeys((spec.opcode for spec in wire.OP_SPECS.values()), Node._serve_storage),
+    **dict.fromkeys(_VERBS, Node._serve_verb),
+    **dict.fromkeys((Op.PING, Op.SNAPSHOT, Op.SHUTDOWN, Op.OK, Op.ERR), Node._serve_control),
+}

@@ -44,6 +44,9 @@ from .wire import OP_OF_KIND, IncrSeq, Read, apply_op, decode_entry, default_ent
 
 State = dict[TableKey, object]
 
+# Most committed transactions brute force searches; larger runs need graph mode.
+BRUTE_FORCE_LIMIT = 10
+
 
 class EffectOp(NamedTuple):
     """One committed op; a tuple because a history builds one per op."""
@@ -297,7 +300,7 @@ def _topological(edges: dict[int, set[int]]) -> list[int] | None:
 
 
 def check_serializable(history: History, final_state: State,
-                       brute_force_limit: int = 10,
+                       brute_force_limit: int = BRUTE_FORCE_LIMIT,
                        graph_mode: bool = False,
                        initial_state: State | None = None) -> Verdict:
     if graph_mode:

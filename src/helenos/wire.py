@@ -66,28 +66,6 @@ class Op(IntEnum):
     ERR = 0x81
 
 
-# Enum member by wire byte. The frame path looks codes up here instead of
-# calling the IntEnum constructors, which cost a Python-level call each.
-OP_BY_CODE: dict[int, Op] = {op.value: op for op in Op}
-
-STORAGE_OPS = frozenset({Op.READ, Op.APPEND, Op.REMOVE, Op.WRITE_SEQ, Op.INCR_SEQ})
-
-CC_OPS = frozenset(
-    {
-        Op.GLOCK_ACQUIRE,
-        Op.GLOCK_RELEASE,
-        Op.FGL_LOCK,
-        Op.FGL_UNLOCK,
-        Op.SUP_TAKE,
-        Op.SUP_UNLATCH,
-        Op.VER_RELEASE,
-        Op.OCC_LOCK,
-        Op.OCC_VALIDATE,
-        Op.OCC_UNLOCK,
-    }
-)
-
-
 class Scheme(IntEnum):
     NONE = 0
     GLOCK = 1
@@ -165,6 +143,17 @@ def default_entry(table: TableId) -> TableEntry:
     return _DEFAULT_ENTRY[table]
 
 
+def _check_append_item(table: TableId, item: object) -> None:
+    """Refuse an append whose item is not of the kind ``table`` stores."""
+    if table is TableId.SEQNO:
+        raise ProtocolError("append is not defined on the sequence table")
+    if table is TableId.MESSAGE:
+        if not isinstance(item, Message):
+            raise ProtocolError("message table append requires a full message")
+    elif isinstance(item, Message):
+        raise ProtocolError("identifier list append got a full message")
+
+
 def apply_op(entry: TableEntry, op: StorageOp) -> tuple[TableEntry, object]:
     """What ``op`` does to its key's ``entry``: returns (new entry, result).
 
@@ -178,13 +167,7 @@ def apply_op(entry: TableEntry, op: StorageOp) -> tuple[TableEntry, object]:
     if isinstance(op, Read):
         return entry, entry
     if isinstance(op, Append):
-        if table is TableId.SEQNO:
-            raise ProtocolError("append is not defined on the sequence table")
-        if table is TableId.MESSAGE:
-            if not isinstance(op.item, Message):
-                raise ProtocolError("message table append requires a full message")
-        elif isinstance(op.item, Message):
-            raise ProtocolError("identifier list append got a full message")
+        _check_append_item(table, op.item)
         return (*entry, op.item), op.item
     if isinstance(op, Remove):
         # Strips every occurrence (so removes are idempotent); message
@@ -440,7 +423,8 @@ def decode_cc(data: bytes, off: int = 0) -> tuple[CcBlock, int]:
 def encode_storage_body(op: StorageOp) -> bytes:
     body = op.key.encode()
     if isinstance(op, Append):
-        body += encode_message(op.item) if isinstance(op.item, Message) else encode_msgid(op.item)
+        _check_append_item(op.key.table, op.item)
+        body += _encode_item(op.key.table, op.item)
     elif isinstance(op, Remove):
         body += encode_msgid(op.item)
     elif isinstance(op, WriteSeq):
@@ -448,25 +432,30 @@ def encode_storage_body(op: StorageOp) -> bytes:
     return body
 
 
-def decode_storage_body(opcode: Op, table: TableId, data: bytes) -> StorageOp:
+# Storage opcode -> (op type, decoder of the item after the key, or None for
+# an op that carries none). An append's item is of its table's kind.
+_STORAGE_BODIES: dict[int, tuple[type, Callable | None]] = {
+    Op.READ: (Read, None),
+    Op.APPEND: (Append, lambda table, data, off: _ITEM_CODECS[_ENTRY_KIND[table]][1](data, off)),
+    Op.REMOVE: (Remove, lambda _table, data, off: decode_msgid(data, off)),
+    Op.WRITE_SEQ: (WriteSeq, lambda _table, data, off: decode_seqpair(data, off)),
+    Op.INCR_SEQ: (IncrSeq, None),
+}
+
+
+def decode_storage_body(opcode: int, table: TableId, data: bytes) -> StorageOp:
     key, off = decode_key(data)
     if key.table is not table:
         raise ProtocolError("key table does not match bucket table")
-    if opcode is Op.READ:
-        op: StorageOp = Read(key)
-    elif opcode is Op.APPEND:
-        item, off = _ITEM_CODECS[entry_kind_for(table)][1](data, off)
-        op = Append(key, item)
-    elif opcode is Op.REMOVE:
-        mid, off = decode_msgid(data, off)
-        op = Remove(key, mid)
-    elif opcode is Op.WRITE_SEQ:
-        pair, off = decode_seqpair(data, off)
-        op = WriteSeq(key, pair)
-    elif opcode is Op.INCR_SEQ:
-        op = IncrSeq(key)
-    else:
+    body = _STORAGE_BODIES.get(opcode)
+    if body is None:
         raise ProtocolError(f"opcode {opcode} is not a storage op")
+    op_type, decode_item = body
+    if decode_item is None:
+        op = op_type(key)
+    else:
+        item, off = decode_item(table, data, off)
+        op = op_type(key, item)
     if off != len(data):
         raise ProtocolError("trailing bytes after storage body")
     return op

@@ -18,17 +18,21 @@ from helenos.cc import (
     run_atomic,
 )
 from helenos.driver import cluster_snapshot
-from helenos.errors import AccessSetError, ConfigError
+from helenos.errors import AccessSetError, ConfigError, ProtocolError
 from helenos.model import (
     TABLE_BY_TAG,
     BucketId,
+    Message,
+    MsgId,
     SeqPair,
     TableId,
     bucket_of,
+    inter_key,
+    message_key,
     seqno_key,
     term_key,
 )
-from helenos.wire import IncrSeq, Op, Read, Scheme, WriteSeq
+from helenos.wire import Append, IncrSeq, Op, Read, Scheme, WriteSeq
 
 B = 8
 
@@ -100,25 +104,43 @@ class TestGLock:
         assert result.attempts == 1
 
 
-class RecordLockFrames:
-    """Transport wrapper that records FGL_LOCK and FGL_UNLOCK frames in send order."""
+class RecordFrames:
+    """Transport wrapper that records the bucket frames with the given opcodes
+    in send order."""
 
-    def __init__(self, inner) -> None:
+    def __init__(self, inner, opcodes: set[Op]) -> None:
         self.inner = inner
+        self.opcodes = opcodes
         self.trace: list[tuple[Op, BucketId]] = []
 
     def request(self, node_id: str, frame_bytes: bytes) -> bytes:
         _rid, tag, index, opcode, _rest = wire.decode_header(wire.split_frame(frame_bytes))
-        if opcode in (Op.FGL_LOCK, Op.FGL_UNLOCK):
+        if opcode in self.opcodes:
             self.trace.append((Op(opcode), BucketId(TABLE_BY_TAG[tag], index)))
         return self.inner.request(node_id, frame_bytes)
+
+
+@pytest.mark.parametrize("key, item, message", [
+    (inter_key(1, 2), Message(MsgId(2, 1), 1, 2, (0,), 0),
+     "identifier list append got a full message"),
+    (message_key(2), MsgId(2, 1), "message table append requires a full message"),
+], ids=["message-on-id-list", "id-on-message-list"])
+def test_wrongly_typed_append_refused_before_sending(scheme, key, item, message):
+    cluster = make_cluster(2)
+    ctx = make_ctx(cluster, scheme)
+    ctx.transport = recorder = RecordFrames(cluster, {Op.APPEND})
+    bucket = bucket_of(key, B)
+    handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), {bucket: 1}))
+    with pytest.raises(ProtocolError, match=message):
+        handle.access(bucket, Append(key, item))
+    assert recorder.trace == []
 
 
 class TestFgl:
     def test_two_phase_discipline(self):
         cluster = make_cluster(2)
         ctx = make_ctx(cluster, Scheme.FGL)
-        ctx.transport = recorder = RecordLockFrames(cluster)
+        ctx.transport = recorder = RecordFrames(cluster, {Op.FGL_LOCK, Op.FGL_UNLOCK})
         plan = {seq_bucket(1): 1, seq_bucket(2): 1, seq_bucket(3): 2}
         handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), plan))
         handle.access(seq_bucket(1), Read(seqno_key(1)))

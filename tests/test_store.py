@@ -372,6 +372,14 @@ def _case(setup: list[bytes], frame_bytes: bytes, reply: bytes, node=one_node):
     return node, setup, frame_bytes, reply
 
 
+def _node1() -> Node:  # not the coordinator
+    return Node("node1", _TWO_NODES)
+
+
+_NODE0_BUCKET = next(BucketId(TableId.SEQNO, i) for i in range(64)
+                     if _TWO_NODES.owner_of(BucketId(TableId.SEQNO, i)) == "node0")
+
+
 # name: (node factory, setup frames, request frame, exact reply)
 REPLY_CASES = {
     "read": _case([], _op(Read(_KEY)), _stored(_ZERO_PAIR_ENTRY)),
@@ -442,6 +450,20 @@ REPLY_CASES = {
     "glock acquire off the coordinator": _case(
         [], _verb(Op.GLOCK_ACQUIRE), _err(ErrCode.ROUTING, "global lock is not hosted on node1"),
         node=lambda: Node("node1", _TWO_NODES)),
+    # Which check answers first: the bucket before a verb's argument, a verb's
+    # length before its routing, and a storage op's bucket before its cc block.
+    "ver release with unknown tag and no version": _case(
+        [], _raw_frame(9, Op.VER_RELEASE, _u64(7)), _err(ErrCode.PROTOCOL, "unknown table tag 9")),
+    "truncated glock acquire off the coordinator": _case(
+        [], wire.frame(wire.encode_header(RID, None, Op.GLOCK_ACQUIRE) + bytes(4)),
+        _err(ErrCode.MALFORMED, "truncated txn id"), node=_node1),
+    "read of a foreign bucket with a truncated cc block": _case(
+        [], wire.frame(wire.encode_header(RID, _NODE0_BUCKET, Op.READ) + _CC_BYTES[:2]),
+        _err(ErrCode.ROUTING, f"bucket SEQNO:{_NODE0_BUCKET.index} is not owned by node1"),
+        node=_node1),
+    "occ validate with a 12-byte body": _case(
+        [], wire.frame(wire.encode_header(RID, _BUCKET, Op.OCC_VALIDATE) + bytes(12)),
+        _err(ErrCode.MALFORMED, "missing version")),
 }
 
 
@@ -452,6 +474,21 @@ def test_node_reply_table(make_node, setup, frame_bytes, reply):
     for earlier in setup:
         node.handle_frame(earlier)
     assert node.handle_frame(frame_bytes) == reply
+
+
+def test_every_opcode_byte_gets_a_well_formed_reply():
+    # A byte the node serves gets its server's reply; any other byte gets
+    # MALFORMED. An empty body is malformed for every storage op and verb.
+    replies = {}
+    for byte in range(256):
+        request_id, opcode, body = wire.decode_reply(
+            one_node().handle_frame(_raw_frame(TableId.SEQNO, byte, b"")))
+        assert request_id == RID
+        replies[byte] = "OK" if opcode is Op.OK else wire.decode_err(body)[0].name
+    expected = dict.fromkeys(range(256), "MALFORMED")
+    expected.update(dict.fromkeys((0x20, 0x21, 0x22), "OK"))
+    expected.update(dict.fromkeys((0x80, 0x81), "PROTOCOL"))
+    assert replies == expected
 
 
 # A held lock, version or latch, as (frames that take it, frames that let it go).
@@ -548,6 +585,25 @@ class TestSnapshot:
         for frame_bytes in release:
             assert node.handle_frame(snapshot) == refused
             assert node.handle_frame(frame_bytes) == _ok()
+        assert node.handle_frame(snapshot) == _ok(b"HELSNAP1" + _u64(0))
+
+    def test_snapshot_refused_while_an_op_is_in_flight(self):
+        # No lock is held: only the node's count of frames in service shows the read.
+        sleeping = threading.Event()
+
+        def sleep(seconds: float) -> None:
+            sleeping.set()
+            time.sleep(seconds)
+
+        node = Node("node0", RingLayout.from_node_ids(["node0"]), sleep=sleep)
+        delayed = CcBlock(Scheme.NONE, 1, 1, 1, delay_ms=300)
+        reader = threading.Thread(target=node.handle_frame, args=(_op(Read(_KEY), delayed),))
+        reader.start()
+        assert sleeping.wait(5.0)
+        snapshot = wire.control_request(RID, Op.SNAPSHOT)
+        assert node.handle_frame(snapshot) == _err(ErrCode.REFUSED, "transactions in flight")
+        reader.join(5.0)
+        assert not reader.is_alive()
         assert node.handle_frame(snapshot) == _ok(b"HELSNAP1" + _u64(0))
 
     def test_snapshot_sorted_and_stable(self):
