@@ -15,6 +15,12 @@
   bucket is handed to the successor after the last declared access.
 
 Only occ can abort; the other three always commit on the first attempt.
+
+Each attempt gives back what it holds through one release ledger
+(``TxnHandle.held``), filled as each lock, latch or version is taken.
+Commit, abandon and a failed begin all empty it the same way: every release
+is tried even when one fails, a failed one stays in the ledger, and the
+first failure is raised; abandoning the attempt then tries the rest again.
 """
 
 from __future__ import annotations
@@ -112,7 +118,9 @@ class TxnContext:
 
 
 class TxnHandle:
-    """Live state of one transaction attempt under one scheme."""
+    """Live state of one transaction attempt under one scheme. ``held`` is its
+    release ledger, (release opcode, bucket) -> release argument, in the order
+    taken, which is canonical bucket order."""
 
     scheme = Scheme.NONE
 
@@ -121,6 +129,7 @@ class TxnHandle:
         self.descriptor = descriptor
         self.attempt = attempt
         self.remaining = dict(descriptor.access)
+        self.held: dict[tuple[Op, BucketId | None], int | None] = {}
         self._op_index = 0
         self._done = False
 
@@ -144,27 +153,48 @@ class TxnHandle:
     def commit(self) -> CommitOutcome:
         if self._done:
             raise TxnStateError("transaction already committed")
-        outcome = self._finish()
         self._done = True
-        return outcome
+        try:
+            return self._finish()
+        finally:
+            self.release_held()
 
     def abandon(self) -> None:
-        """Release scheme state without committing; used when a body raises.
-
-        For the lock- and version-based schemes the release side of commit
-        is exactly what is needed; the optimistic handle holds nothing
-        during execution and overrides this with a buffer discard.
-        """
-        if self._done:
-            return
+        """Give back whatever the attempt still holds, without committing;
+        used when a begin, a body or a commit raises."""
         self._done = True
-        self._finish()
+        self.release_held()
 
     def _perform(self, bucket: BucketId, op: StorageOp):
         raise NotImplementedError
 
     def _finish(self) -> CommitOutcome:
-        raise NotImplementedError
+        return CommitOutcome.COMMITTED
+
+    # -- release ledger ----------------------------------------------------
+
+    def _take(self, acquire: Op, release: Op, bucket: BucketId | None,
+              arg: int | None = None) -> bytes:
+        body = self.ctx.cc_call(acquire, bucket, self.descriptor.txn_id)
+        self.held[release, bucket] = arg
+        return body
+
+    def _give_back(self, release: Op, bucket: BucketId | None) -> None:
+        self.ctx.cc_call(release, bucket, self.descriptor.txn_id, self.held[release, bucket])
+        del self.held[release, bucket]
+
+    def release_held(self) -> None:
+        """Send every release still in the ledger, even when one fails; the
+        failed ones stay for a later call, and the first failure is raised
+        after all were tried."""
+        failures: list[Exception] = []
+        for release, bucket in list(self.held):
+            try:
+                self._give_back(release, bucket)
+            except Exception as exc:
+                failures.append(exc)
+        if failures:
+            raise failures[0]
 
     # -- shared plumbing ---------------------------------------------------
 
@@ -213,44 +243,25 @@ class GLockHandle(TxnHandle):
     scheme = Scheme.GLOCK
 
     def begin(self) -> None:
-        self.ctx.cc_call(Op.GLOCK_ACQUIRE, None, self.descriptor.txn_id)
+        self._take(Op.GLOCK_ACQUIRE, Op.GLOCK_RELEASE, None)
 
     def _perform(self, bucket: BucketId, op: StorageOp):
         result, _version = self._send_storage(bucket, op, self._next_op_index())
         return result
-
-    def _finish(self) -> CommitOutcome:
-        self.ctx.cc_call(Op.GLOCK_RELEASE, None, self.descriptor.txn_id)
-        return CommitOutcome.COMMITTED
 
 
 class FglHandle(TxnHandle):
     scheme = Scheme.FGL
 
-    def __init__(self, ctx: TxnContext, descriptor: TxnDescriptor, attempt: int) -> None:
-        super().__init__(ctx, descriptor, attempt)
-        self.held: set[BucketId] = set()
-
     def begin(self) -> None:
         for bucket in sorted(self.descriptor.access):
-            self.ctx.cc_call(Op.FGL_LOCK, bucket, self.descriptor.txn_id)
-            self.held.add(bucket)
+            self._take(Op.FGL_LOCK, Op.FGL_UNLOCK, bucket)
 
     def _perform(self, bucket: BucketId, op: StorageOp):
         result, _version = self._send_storage(bucket, op, self._next_op_index())
         if self.remaining[bucket] == 1:  # this was the last declared access
-            self._unlock(bucket)
+            self._give_back(Op.FGL_UNLOCK, bucket)
         return result
-
-    def _unlock(self, bucket: BucketId) -> None:
-        self.ctx.cc_call(Op.FGL_UNLOCK, bucket, self.descriptor.txn_id)
-        self.held.discard(bucket)
-
-    def _finish(self) -> CommitOutcome:
-        for bucket in sorted(self.held):
-            self.ctx.cc_call(Op.FGL_UNLOCK, bucket, self.descriptor.txn_id)
-        self.held.clear()
-        return CommitOutcome.COMMITTED
 
 
 class PesvHandle(TxnHandle):
@@ -259,15 +270,15 @@ class PesvHandle(TxnHandle):
     def __init__(self, ctx: TxnContext, descriptor: TxnDescriptor, attempt: int) -> None:
         super().__init__(ctx, descriptor, attempt)
         self.versions: dict[BucketId, int] = {}
-        self.released: set[BucketId] = set()
 
     def begin(self) -> None:
         order = sorted(self.descriptor.access)
         for bucket in order:
-            body = self.ctx.cc_call(Op.SUP_TAKE, bucket, self.descriptor.txn_id)
-            self.versions[bucket] = int.from_bytes(body[:8], "big")
+            body = self._take(Op.SUP_TAKE, Op.SUP_UNLATCH, bucket)
+            version = self.versions[bucket] = int.from_bytes(body[:8], "big")
+            self.held[Op.VER_RELEASE, bucket] = version
         for bucket in order:
-            self.ctx.cc_call(Op.SUP_UNLATCH, bucket, self.descriptor.txn_id)
+            self._give_back(Op.SUP_UNLATCH, bucket)
 
     def _perform(self, bucket: BucketId, op: StorageOp):
         last = self.remaining[bucket] == 1
@@ -276,17 +287,9 @@ class PesvHandle(TxnHandle):
             bucket, op, self._next_op_index(), flags=flags,
             private_version=self.versions[bucket],
         )
-        if last:
-            self.released.add(bucket)
+        if last:  # the node released the version after this access
+            del self.held[Op.VER_RELEASE, bucket]
         return result
-
-    def _finish(self) -> CommitOutcome:
-        for bucket in sorted(self.versions):
-            if bucket not in self.released:
-                self.ctx.cc_call(
-                    Op.VER_RELEASE, bucket, self.descriptor.txn_id, self.versions[bucket]
-                )
-        return CommitOutcome.COMMITTED
 
 
 class OccHandle(TxnHandle):
@@ -339,54 +342,18 @@ class OccHandle(TxnHandle):
 
     def _finish(self) -> CommitOutcome:
         txn = self.descriptor.txn_id
-        write_buckets = sorted({bucket for _i, bucket, _op in self.buffer})
-        locked: list[BucketId] = []
-        try:
-            for bucket in write_buckets:
-                self.ctx.cc_call(Op.OCC_LOCK, bucket, txn)
-                locked.append(bucket)
-            for bucket in sorted(self.read_versions):
-                body = self.ctx.cc_call(
-                    Op.OCC_VALIDATE, bucket, txn, self.read_versions[bucket]
-                )
-                if body != b"\x01":
-                    return self._rollback(locked)
-        except BaseException:
-            self._rollback(locked)
-            raise
-        try:
-            for op_index, bucket, op in self.buffer:
-                self._send_storage(bucket, op, op_index, flags=FLAG_COMMIT_APPLY)
-        finally:
-            # Also when the apply fails: some writes may have landed, so the
-            # versions are bumped.
-            self._unlock(locked, bump=1)
+        for bucket in sorted({bucket for _i, bucket, _op in self.buffer}):
+            self._take(Op.OCC_LOCK, Op.OCC_UNLOCK, bucket, 0)
+        for bucket in sorted(self.read_versions):
+            body = self.ctx.cc_call(Op.OCC_VALIDATE, bucket, txn, self.read_versions[bucket])
+            if body != b"\x01":
+                return CommitOutcome.ABORTED_RETRY
+        # Validation passed: from here writes may land, also when the apply
+        # fails part way, so every unlock bumps its bucket's version.
+        self.held = dict.fromkeys(self.held, 1)
+        for op_index, bucket, op in self.buffer:
+            self._send_storage(bucket, op, op_index, flags=FLAG_COMMIT_APPLY)
         return CommitOutcome.COMMITTED
-
-    def _rollback(self, locked: list[BucketId]) -> CommitOutcome:
-        self._unlock(locked, bump=0)
-        self.buffer.clear()
-        self._overlay.clear()
-        return CommitOutcome.ABORTED_RETRY
-
-    def _unlock(self, locked: list[BucketId], bump: int) -> None:
-        """Release every commit lock, even when one release fails; the first
-        failure is raised after all were tried."""
-        failures: list[Exception] = []
-        for bucket in locked:
-            try:
-                self.ctx.cc_call(Op.OCC_UNLOCK, bucket, self.descriptor.txn_id, bump)
-            except Exception as exc:
-                failures.append(exc)
-        if failures:
-            raise failures[0]
-
-    def abandon(self) -> None:
-        if self._done:
-            return
-        self._done = True
-        self.buffer.clear()
-        self._overlay.clear()
 
 
 _HANDLES: dict[Scheme, type[TxnHandle]] = {
@@ -403,7 +370,11 @@ def begin(ctx: TxnContext, descriptor: TxnDescriptor, attempt: int = 1) -> TxnHa
     except KeyError:
         raise ConfigError(f"unknown scheme {ctx.scheme!r}") from None
     handle = handle_cls(ctx, descriptor, attempt)
-    handle.begin()
+    try:
+        handle.begin()
+    except BaseException:
+        handle.abandon()  # give back what the begin took before it failed
+        raise
     return handle
 
 

@@ -46,7 +46,9 @@ class Turns:
 
     ``take`` hands out tickets 1, 2, ...; ticket t's turn comes once
     ticket t - 1 is released. ``release`` first waits for that turn, so a
-    ticket released out of order cannot jump the queue.
+    ticket released out of order cannot jump the queue. A ticket that is
+    not waiting, one never taken or already released, is refused instead
+    of waited for: its turn would never come.
     """
 
     __slots__ = ("_cond", "_taken", "_released")
@@ -62,7 +64,12 @@ class Turns:
             return self._taken
 
     def _await(self, ticket: int) -> None:  # the caller holds the condition
-        while self._released != ticket - 1:
+        while True:
+            if not self._released < ticket <= self._taken:
+                raise ProtocolError(f"ticket {ticket} is not waiting: "
+                                    f"released {self._released}, taken {self._taken}")
+            if self._released == ticket - 1:
+                return
             self._cond.wait()
 
     def await_turn(self, ticket: int) -> None:
@@ -393,9 +400,10 @@ class Node:
         return self.engine.version(bucket) == expected
 
     def _occ_unlock(self, bucket: BucketId, txn: int, bump: int | None) -> None:
-        if bump:
+        lock = self.occ[bucket]
+        if bump and lock.owner() == txn:  # a refused unlock leaves the version as it is
             self.engine.bump_version(bucket)
-        self.occ[bucket].release(txn)
+        lock.release(txn)
 
     def _serve_control(self, request_id: int, opcode: int, *_header_and_body) -> bytes:
         if opcode == Op.PING:

@@ -18,7 +18,7 @@ from helenos.cc import (
     run_atomic,
 )
 from helenos.driver import cluster_snapshot
-from helenos.errors import AccessSetError, ConfigError, ProtocolError
+from helenos.errors import AccessSetError, ConfigError, ProtocolError, ServerError
 from helenos.model import (
     TABLE_BY_TAG,
     BucketId,
@@ -32,7 +32,7 @@ from helenos.model import (
     seqno_key,
     term_key,
 )
-from helenos.wire import Append, IncrSeq, Op, Read, Scheme, WriteSeq
+from helenos.wire import Append, ErrCode, IncrSeq, Op, Read, Scheme, WriteSeq
 
 B = 8
 
@@ -104,19 +104,50 @@ class TestGLock:
         assert result.attempts == 1
 
 
+STORAGE_OPCODES = {spec.opcode for spec in wire.OP_SPECS.values()}
+ALL_REQUEST_OPCODES = STORAGE_OPCODES | {op for op in Op if 0x10 <= op < 0x20}  # ops and verbs
+
+
 class RecordFrames:
-    """Transport wrapper that records the bucket frames with the given opcodes
-    in send order."""
+    """Transport wrapper that records the frames with the given opcodes in
+    send order, as (opcode, bucket, argument). The bucket of a global-lock
+    verb is None; a storage op's argument is its cc flags."""
 
     def __init__(self, inner, opcodes: set[Op]) -> None:
         self.inner = inner
         self.opcodes = opcodes
-        self.trace: list[tuple[Op, BucketId]] = []
+        self.trace: list[tuple[Op, BucketId | None, int | None]] = []
 
     def request(self, node_id: str, frame_bytes: bytes) -> bytes:
-        _rid, tag, index, opcode, _rest = wire.decode_header(wire.split_frame(frame_bytes))
+        _rid, tag, index, opcode, rest = wire.decode_header(wire.split_frame(frame_bytes))
         if opcode in self.opcodes:
-            self.trace.append((Op(opcode), BucketId(TABLE_BY_TAG[tag], index)))
+            table = TABLE_BY_TAG.get(tag)
+            if opcode in STORAGE_OPCODES:
+                arg = wire.decode_cc(rest)[0].flags
+            else:
+                arg = int.from_bytes(rest[8:16], "big") if len(rest) >= 16 else None
+            bucket = None if table is None else BucketId(table, index)
+            self.trace.append((Op(opcode), bucket, arg))
+        return self.inner.request(node_id, frame_bytes)
+
+
+class FailNth:
+    """Transport wrapper that answers the nth frame with one opcode with ERR
+    and does not forward it."""
+
+    def __init__(self, inner, opcode: Op, n: int) -> None:
+        self.inner = inner
+        self.opcode = opcode
+        self.n = n
+        self.seen = 0
+
+    def request(self, node_id: str, frame_bytes: bytes) -> bytes:
+        request_id, _tag, _index, opcode, _rest = wire.decode_header(wire.split_frame(frame_bytes))
+        if opcode == self.opcode:
+            self.seen += 1
+            if self.seen == self.n:
+                return wire.err_reply(request_id, ErrCode.REFUSED,
+                                      f"injected failure of {self.opcode.name} #{self.n}")
         return self.inner.request(node_id, frame_bytes)
 
 
@@ -147,12 +178,12 @@ class TestFgl:
         handle.access(seq_bucket(3), Read(seqno_key(3)))
         handle.commit()
         trace = recorder.trace
-        first_release = next(i for i, (what, _) in enumerate(trace) if what is Op.FGL_UNLOCK)
-        assert all(what is Op.FGL_LOCK for what, _ in trace[:first_release])
-        assert all(what is Op.FGL_UNLOCK for what, _ in trace[first_release:])
-        acquired = [b for what, b in trace if what is Op.FGL_LOCK]
+        first_release = next(i for i, (what, _, _) in enumerate(trace) if what is Op.FGL_UNLOCK)
+        assert all(what is Op.FGL_LOCK for what, _, _ in trace[:first_release])
+        assert all(what is Op.FGL_UNLOCK for what, _, _ in trace[first_release:])
+        acquired = [b for what, b, _ in trace if what is Op.FGL_LOCK]
         assert acquired == sorted(acquired), "locks not taken in canonical order"
-        released = sorted(b for what, b in trace if what is Op.FGL_UNLOCK)
+        released = sorted(b for what, b, _ in trace if what is Op.FGL_UNLOCK)
         assert released == sorted(plan)
 
     def test_early_release_lets_second_txn_in(self):
@@ -576,3 +607,117 @@ class TestDeadlockFreedom:
             t.join(max(0.1, deadline - time.monotonic()))
         assert not any(t.is_alive() for t in threads), f"stuck under {scheme.name}"
         assert not errors, errors[0]
+
+
+# One transaction over three buckets on two nodes. Each bucket is declared
+# with two accesses and only the last one uses both, so fgl unlocks it early
+# and pesv releases its version with its last access, while the other two
+# are given back at commit.
+K1, K2, K3 = seqno_key(1), seqno_key(2), seqno_key(3)
+B1, B2, B3 = (bucket_of(key, B) for key in (K1, K2, K3))
+PLAN = {B1: 2, B2: 2, B3: 2}
+
+
+def three_bucket_body(tx: TxnView) -> None:
+    tx.read(K1)
+    tx.incr_seq(K2)
+    tx.read(K3)
+    tx.incr_seq(K3)
+
+
+def within_deadline(fn, seconds: float = 10.0):
+    """Run ``fn`` on a daemon thread and return what it raised, or None; a
+    call still running at the deadline fails the test instead of hanging it."""
+    raised: list[BaseException | None] = []
+
+    def run() -> None:
+        try:
+            fn()
+        except BaseException as exc:
+            raised.append(exc)
+        else:
+            raised.append(None)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), "still running at the deadline"
+    return raised[0]
+
+
+# name: (scheme, opcode of the failed frame, its number within the attempt)
+FAULT_CASES = {
+    "fgl 2nd FGL_LOCK": (Scheme.FGL, Op.FGL_LOCK, 2),
+    "pesv 2nd SUP_TAKE": (Scheme.PESV, Op.SUP_TAKE, 2),
+    "pesv 2nd SUP_UNLATCH": (Scheme.PESV, Op.SUP_UNLATCH, 2),
+    # The first FGL_UNLOCK is the early one of the bucket used twice.
+    "fgl 2nd FGL_UNLOCK at commit": (Scheme.FGL, Op.FGL_UNLOCK, 3),
+    "pesv 2nd VER_RELEASE at commit": (Scheme.PESV, Op.VER_RELEASE, 2),
+    "occ 1st OCC_UNLOCK": (Scheme.OCC, Op.OCC_UNLOCK, 1),
+    "occ 2nd OCC_LOCK": (Scheme.OCC, Op.OCC_LOCK, 2),
+    "occ 1st OCC_VALIDATE": (Scheme.OCC, Op.OCC_VALIDATE, 1),
+    "glock 1st GLOCK_RELEASE": (Scheme.GLOCK, Op.GLOCK_RELEASE, 1),
+    **{f"{scheme.name.lower()} 2nd READ": (scheme, Op.READ, 2)
+       for scheme in (Scheme.GLOCK, Scheme.FGL, Scheme.OCC, Scheme.PESV)},
+}
+
+
+@pytest.mark.parametrize("scheme, opcode, n", FAULT_CASES.values(), ids=FAULT_CASES)
+def test_failed_frame_gives_back_everything(scheme, opcode, n):
+    cluster = make_cluster(2)
+    ctx = make_ctx(cluster, scheme)
+    ctx.transport = FailNth(cluster, opcode, n)
+    raised = within_deadline(lambda: run_atomic(ctx, "probe", PLAN, three_bucket_body))
+    assert isinstance(raised, ServerError) and raised.message.startswith("injected"), raised
+    assert all(node.quiescent() for node in cluster.nodes.values())
+    again = make_ctx(cluster, scheme, client_id=1)
+    assert within_deadline(lambda: run_atomic(again, "probe", PLAN, three_bucket_body)) is None
+
+
+# Every request frame of the transaction above, as RecordFrames records it.
+# Sorted, the buckets are B2 < B1 < B3.
+_APPLY, _RELEASE = wire.FLAG_COMMIT_APPLY, wire.FLAG_RELEASE_AFTER
+FRAME_ORDERS = {
+    Scheme.GLOCK: [
+        (Op.GLOCK_ACQUIRE, None, None), (Op.READ, B1, 0), (Op.INCR_SEQ, B2, 0),
+        (Op.READ, B3, 0), (Op.INCR_SEQ, B3, 0), (Op.GLOCK_RELEASE, None, None)],
+    Scheme.FGL: [
+        (Op.FGL_LOCK, B2, None), (Op.FGL_LOCK, B1, None), (Op.FGL_LOCK, B3, None),
+        (Op.READ, B1, 0), (Op.INCR_SEQ, B2, 0), (Op.READ, B3, 0), (Op.INCR_SEQ, B3, 0),
+        (Op.FGL_UNLOCK, B3, None), (Op.FGL_UNLOCK, B2, None), (Op.FGL_UNLOCK, B1, None)],
+    Scheme.OCC: [
+        (Op.READ, B1, 0), (Op.READ, B2, 0), (Op.READ, B3, 0), (Op.READ, B3, 0),
+        (Op.OCC_LOCK, B2, None), (Op.OCC_LOCK, B3, None),
+        (Op.OCC_VALIDATE, B2, 0), (Op.OCC_VALIDATE, B1, 0), (Op.OCC_VALIDATE, B3, 0),
+        (Op.WRITE_SEQ, B2, _APPLY), (Op.WRITE_SEQ, B3, _APPLY),
+        (Op.OCC_UNLOCK, B2, 1), (Op.OCC_UNLOCK, B3, 1)],
+    Scheme.PESV: [
+        (Op.SUP_TAKE, B2, None), (Op.SUP_TAKE, B1, None), (Op.SUP_TAKE, B3, None),
+        (Op.SUP_UNLATCH, B2, None), (Op.SUP_UNLATCH, B1, None), (Op.SUP_UNLATCH, B3, None),
+        (Op.READ, B1, 0), (Op.INCR_SEQ, B2, 0), (Op.READ, B3, 0), (Op.INCR_SEQ, B3, _RELEASE),
+        (Op.VER_RELEASE, B2, 1), (Op.VER_RELEASE, B1, 1)],
+}
+
+
+@pytest.mark.parametrize("scheme", FRAME_ORDERS, ids=[s.name.lower() for s in FRAME_ORDERS])
+def test_success_path_frame_order(scheme):
+    cluster = make_cluster(2)
+    ctx = make_ctx(cluster, scheme)
+    ctx.transport = recorder = RecordFrames(cluster, ALL_REQUEST_OPCODES)
+    assert run_atomic(ctx, "probe", PLAN, three_bucket_body).attempts == 1
+    assert recorder.trace == FRAME_ORDERS[scheme]
+
+
+def test_failed_validation_frame_order():
+    cluster = make_cluster(2)
+    ctx = make_ctx(cluster, Scheme.OCC)
+    ctx.transport = recorder = RecordFrames(cluster, ALL_REQUEST_OPCODES)
+    handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), PLAN))
+    handle.access(B1, Read(K1))
+    handle.access(B2, IncrSeq(K2))
+    competitor = make_ctx(cluster, Scheme.OCC, client_id=1)
+    run_atomic(competitor, "bump", {B1: 1}, lambda tx: tx.incr_seq(K1))
+    assert handle.commit() is CommitOutcome.ABORTED_RETRY
+    assert recorder.trace == [
+        (Op.READ, B1, 0), (Op.READ, B2, 0), (Op.OCC_LOCK, B2, None),
+        (Op.OCC_VALIDATE, B2, 0), (Op.OCC_VALIDATE, B1, 0), (Op.OCC_UNLOCK, B2, 0)]

@@ -410,6 +410,8 @@ REPLY_CASES = {
     "occ unlock": _case(_OCC_7, _verb(Op.OCC_UNLOCK), _ok()),
     "occ unlock bumps version": _case([*_OCC_7, _verb(Op.OCC_UNLOCK, arg=1)], _op(Read(_KEY)),
                                       _stored(_ZERO_PAIR_ENTRY, version=1)),
+    "occ unlock by non-owner keeps the version": _case(
+        [*_OCC_7, _verb(Op.OCC_UNLOCK, txn=9, arg=1)], _op(Read(_KEY)), _stored(_ZERO_PAIR_ENTRY)),
     "occ commit apply": _case(_OCC_7, _op(WriteSeq(_KEY, SeqPair(4, 2)), _OCC_WRITE),
                               _stored(_u64(4) + _u64(2))),
     "ping": _case([], wire.control_request(RID, Op.PING), _ok(b"PONG")),
@@ -432,6 +434,20 @@ REPLY_CASES = {
                                       _err(ErrCode.PROTOCOL, "lock not held by 9")),
     "glock release by non-owner": _case([_verb(Op.GLOCK_ACQUIRE)], _verb(Op.GLOCK_RELEASE, txn=9),
                                         _err(ErrCode.PROTOCOL, "lock not held by 9")),
+    # A version ticket that is not waiting is refused: its turn would never come.
+    "ver release twice": _case(
+        [*_TAKEN_7, _verb(Op.VER_RELEASE, arg=1)], _verb(Op.VER_RELEASE, arg=1),
+        _err(ErrCode.PROTOCOL, "ticket 1 is not waiting: released 1, taken 1")),
+    "ver release of a version never taken": _case(
+        _TAKEN_7, _verb(Op.VER_RELEASE, arg=2),
+        _err(ErrCode.PROTOCOL, "ticket 2 is not waiting: released 0, taken 1")),
+    "pesv read with a released version": _case(
+        [*_TAKEN_7, _verb(Op.VER_RELEASE, arg=1)],
+        _op(Read(_KEY), CcBlock(Scheme.PESV, 7, 1, 1, private_version=1)),
+        _err(ErrCode.PROTOCOL, "ticket 1 is not waiting: released 1, taken 1")),
+    "pesv read with version 0": _case(
+        _TAKEN_7, _op(Read(_KEY), CcBlock(Scheme.PESV, 7, 1, 1, private_version=0)),
+        _err(ErrCode.PROTOCOL, "ticket 0 is not waiting: released 0, taken 1")),
     "fgl read without lock": _case([], _op(Read(_KEY), CcBlock(Scheme.FGL, 7, 1, 1)),
                                    _err(ErrCode.PROTOCOL,
                                         "bucket lock not held by the accessing transaction")),
@@ -470,10 +486,21 @@ REPLY_CASES = {
 @pytest.mark.parametrize("make_node, setup, frame_bytes, reply", REPLY_CASES.values(),
                          ids=REPLY_CASES)
 def test_node_reply_table(make_node, setup, frame_bytes, reply):
+    # Served on a daemon thread under a deadline, so that a frame the node
+    # waits on forever fails its case instead of hanging the suite.
     node = make_node()
-    for earlier in setup:
-        node.handle_frame(earlier)
-    assert node.handle_frame(frame_bytes) == reply
+    replies = []
+
+    def serve() -> None:
+        for earlier in setup:
+            node.handle_frame(earlier)
+        replies.append(node.handle_frame(frame_bytes))
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    server.join(5.0)
+    assert not server.is_alive(), "the node is still waiting on the frame"
+    assert replies == [reply]
 
 
 def test_every_opcode_byte_gets_a_well_formed_reply():
