@@ -120,7 +120,8 @@ class TxnContext:
 class TxnHandle:
     """Live state of one transaction attempt under one scheme. ``held`` is its
     release ledger, (release opcode, bucket) -> release argument, in the order
-    taken, which is canonical bucket order."""
+    taken, which is canonical bucket order. ``outcome`` is what the commit
+    decided, set before the ledger is given back."""
 
     scheme = Scheme.NONE
 
@@ -130,6 +131,7 @@ class TxnHandle:
         self.attempt = attempt
         self.remaining = dict(descriptor.access)
         self.held: dict[tuple[Op, BucketId | None], int | None] = {}
+        self.outcome: CommitOutcome | None = None
         self._op_index = 0
         self._done = False
 
@@ -155,9 +157,10 @@ class TxnHandle:
             raise TxnStateError("transaction already committed")
         self._done = True
         try:
-            return self._finish()
+            self.outcome = self._finish()
         finally:
             self.release_held()
+        return self.outcome
 
     def abandon(self) -> None:
         """Give back whatever the attempt still holds, without committing;
@@ -305,17 +308,16 @@ class OccHandle(TxnHandle):
     # -- execution phase -------------------------------------------------
 
     def _perform(self, bucket: BucketId, op: StorageOp):
-        if isinstance(op, (Read, IncrSeq)):
+        spec = OP_SPECS[type(op)]
+        if spec.observes:
             entry = self._overlaid_read(bucket, op.key)
         else:  # a blind write: its result does not depend on the stored entry
             entry = default_entry(op.key.table)
         new, result = apply_op(entry, op)
-        if isinstance(op, IncrSeq):
-            # Published at commit as the pair this attempt computed from its
-            # validated read.
-            op = WriteSeq(op.key, new)
-        if not isinstance(op, Read):
-            self._buffer_op(bucket, op)
+        if spec.writes:
+            # A write that observed its entry (an increment) is published at
+            # commit as the pair this attempt computed from its validated read.
+            self._buffer_op(bucket, WriteSeq(op.key, new) if spec.observes else op)
         return result
 
     def _overlaid_read(self, bucket: BucketId, key: TableKey):
@@ -469,6 +471,10 @@ def run_atomic(
         except OccConflict:
             outcome = CommitOutcome.ABORTED_RETRY
         except BaseException:
+            if handle.outcome is CommitOutcome.COMMITTED and ctx.sink is not None:
+                # The writes landed and then a release failed: the log still
+                # records the commit, so that a check sees those writes.
+                ctx.sink.commit(ctx.clock(), txn_id, ctx.client_id, attempt)
             handle.abandon()  # do not leave locks or versions behind
             raise
         if outcome is CommitOutcome.COMMITTED:

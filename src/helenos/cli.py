@@ -15,14 +15,15 @@ import sys
 from dataclasses import replace
 
 from .config import ScenarioConfig, apply_overrides, bundled_scenarios, load_scenario
-from .driver import run_scenario
+from .driver import run_in_process, run_scenario
 from .errors import ConfigError, HelenosError, VerificationError
 from .metrics import REPORT_COLUMNS, read_event_log, report_row, write_event_log, write_report_csv
 from .model import RingLayout
 from .store import Node
-from .transport import LoopbackCluster, TcpNodeServer, TcpTransport
+from .transport import TcpNodeServer, TcpTransport, unwrap_reply
 from .verify import (BRUTE_FORCE_LIMIT, build_history, check_integrity, check_serializable,
                      state_from_snapshot)
+from .wire import Op, control_request
 
 log = logging.getLogger("helenos")
 
@@ -196,9 +197,7 @@ def _execute(cfg: ScenarioConfig, in_process: int | None):
         # Explicit --in-process wins over configured endpoints; the resolved
         # run is always endpoints-xor-loopback.
         cfg = replace(cfg, nodes=in_process, endpoints=())
-        cfg.validate()
-        cluster = LoopbackCluster(cfg.node_ids())
-        return cfg, run_scenario(cfg, lambda _i: cluster, cluster.layout)
+        return cfg, run_in_process(cfg)
     if not cfg.endpoints:
         raise ConfigError("no endpoints in config; pass --in-process N or set endpoints")
     endpoints = {
@@ -207,9 +206,6 @@ def _execute(cfg: ScenarioConfig, in_process: int | None):
     layout = RingLayout.from_node_ids(list(endpoints))
     probe = TcpTransport(endpoints, timeout=10.0)
     try:
-        from .transport import unwrap_reply
-        from .wire import Op, control_request
-
         for i, node_id in enumerate(layout.node_ids):
             body = unwrap_reply(i + 1, probe.request(node_id, control_request(i + 1, Op.PING)))
             if body != b"PONG":

@@ -22,9 +22,10 @@ from .errors import HelenosError
 from .metrics import EventSink, MetricsReport, aggregate
 from .model import RingLayout
 from .store import merge_snapshots
-from .transport import Transport, unwrap_reply
+from .transport import LoopbackCluster, Transport, unwrap_reply
 from .verify import History, build_history
 from .wire import Op, Scheme, control_request
+from .workload import ClientRuntime, pick_task
 
 _BACKOFF_SALT = 0x5EED_B0FF
 
@@ -54,8 +55,6 @@ class RunArtifacts:
 
 def _make_runtime(cfg: ScenarioConfig, layout: RingLayout, transport: Transport,
                   client_id: int, sink: EventSink):
-    from .workload import ClientRuntime
-
     ctx = TxnContext(
         transport=transport,
         layout=layout,
@@ -79,8 +78,6 @@ def run_clients(
     sink: EventSink,
 ) -> int:
     """Execute clients x tasks-per-client tasks; returns the task count."""
-    from .workload import pick_task
-
     runtimes = [_make_runtime(cfg, layout, transport_for(i), i, sink) for i in range(cfg.clients)]
     groups = [runtimes] if cfg.scheme is Scheme.GLOCK else [[r] for r in runtimes]
     errors: list[BaseException] = []
@@ -145,7 +142,5 @@ def run_scenario(
 
 def run_in_process(cfg: ScenarioConfig) -> RunArtifacts:
     """Convenience: run a scenario against a fresh loopback cluster."""
-    from .transport import LoopbackCluster
-
     cluster = LoopbackCluster(cfg.node_ids())
     return run_scenario(cfg, lambda _i: cluster, cluster.layout)

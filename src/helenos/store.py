@@ -26,8 +26,8 @@ from typing import Callable
 
 from . import wire
 from .errors import ProtocolError, RoutingError
-from .model import TABLE_BY_TAG, BucketId, Message, RingLayout, TableId, TableKey
-from .wire import Append, ErrCode, Op, Read, Scheme, StorageOp, TableEntry
+from .model import TABLE_BY_TAG, BucketId, Message, RingLayout, TableId, TableKey, decode_key
+from .wire import Append, ErrCode, Op, Scheme, StorageOp, TableEntry
 
 SNAPSHOT_MAGIC = b"HELSNAP1"
 
@@ -236,8 +236,6 @@ def pack_snapshot(entries: list[tuple[bytes, bytes]]) -> bytes:
 
 
 def unpack_snapshot(dump: bytes) -> list[tuple[bytes, bytes]]:
-    from .model import decode_key
-
     if dump[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
         raise ProtocolError("bad snapshot header")
     count = int.from_bytes(dump[len(SNAPSHOT_MAGIC) : len(SNAPSHOT_MAGIC) + 8], "big")
@@ -345,10 +343,11 @@ class Node:
                 op = wire.decode_storage_body(opcode, bucket.table, rest[off:])
             except ProtocolError as exc:
                 return wire.err_reply(request_id, ErrCode.MALFORMED, str(exc))
+            spec = wire.SPEC_BY_OPCODE[opcode]
             scheme = cc.scheme
             if scheme is _PESV:
                 self.suprema.await_turn(bucket, cc.private_version)
-            elif scheme is _OCC and not isinstance(op, Read):
+            elif scheme is _OCC and spec.writes:
                 if not cc.flags & wire.FLAG_COMMIT_APPLY:
                     raise ProtocolError("optimistic writes must be applied at commit")
                 if self.occ[bucket].owner() != cc.txn_id:
@@ -363,7 +362,7 @@ class Node:
             if scheme is _PESV and cc.flags & wire.FLAG_RELEASE_AFTER:
                 self.suprema.release(bucket, cc.private_version)
 
-            body = wire.OP_SPECS[type(op)].encode_result(op.key.table, result)
+            body = spec.encode_result(op.key.table, result)
             return wire.ok_reply(request_id, wire.storage_ok_body(seq, version, body))
         finally:
             self._exit()

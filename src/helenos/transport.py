@@ -15,7 +15,7 @@ from typing import Protocol
 from .errors import ConfigError, ProtocolError, ServerError
 from .model import RingLayout
 from .store import Node
-from .wire import MAX_FRAME, ErrCode, Op, decode_err, decode_reply
+from .wire import MAX_FRAME, ErrCode, Op, decode_err, decode_reply, err_reply
 
 
 class Transport(Protocol):
@@ -172,9 +172,7 @@ class TcpNodeServer:
                 except ProtocolError:
                     # Unrecoverable stream state: report and drop the peer.
                     try:
-                        conn.sendall(
-                            _oversize_reply()
-                        )
+                        conn.sendall(err_reply(0, ErrCode.MALFORMED, "frame exceeds size limit"))
                     except OSError:
                         pass
                     return
@@ -183,9 +181,3 @@ class TcpNodeServer:
                     conn.sendall(reply)
                 except OSError:
                     return
-
-
-def _oversize_reply() -> bytes:
-    from .wire import err_reply
-
-    return err_reply(0, ErrCode.MALFORMED, "frame exceeds size limit")

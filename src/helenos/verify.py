@@ -9,23 +9,28 @@ sequential order that reproduces the final snapshot:
   pruning on mismatch; memoization on (placed set, state) keeps it
   tractable. The first witness found is returned.
 * conflict-graph mode (larger runs): builds precedence edges from the
-  per-bucket server apply order and runs Kahn's algorithm over them, which
-  is linear in transactions plus edges (apart from the sorts that fix the
-  witness order). An acyclic graph means the history is conflict
-  serializable (Papadimitriou, JACM 1979) and the topological order is the
-  witness. Only when Kahn's algorithm leaves transactions unplaced does it
-  search for the shortest precedence cycle to report. The witness is not
-  replayed against the snapshot, so this is a weaker check.
+  per-bucket server apply order, treating every op kind whose row in
+  ``wire.OP_SPECS`` says ``writes`` (all but ``read``) as a write, and
+  runs Kahn's algorithm over them, which is linear in transactions plus
+  edges (apart from the sorts that fix the witness order). An acyclic
+  graph means the history is conflict serializable (Papadimitriou, JACM
+  1979) and the topological order is the witness. Only when Kahn's
+  algorithm leaves transactions unplaced does it search for the shortest
+  precedence cycle to report. The witness is not replayed against the
+  snapshot, so this is a weaker check.
 
 ``check_integrity`` asserts referential integrity between the four tables
 and the per-inbox sequence discipline on a quiescent snapshot.
+
+A ``History`` holds the clients' own ``metrics.BucketOp`` records of the
+committed attempts; what each op kind observes and writes is asked of its
+row in ``wire.OP_SPECS``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import ProtocolError, VerificationError
 from .metrics import BucketOp, Commit, Event, TxnStart
@@ -40,7 +45,7 @@ from .model import (
     inter_key,
 )
 from .store import unpack_snapshot
-from .wire import OP_OF_KIND, IncrSeq, Read, apply_op, decode_entry, default_entry, store_entry
+from .wire import OP_SPECS, SPEC_BY_KIND, apply_op, decode_entry, default_entry, store_entry
 
 State = dict[TableKey, object]
 
@@ -48,23 +53,12 @@ State = dict[TableKey, object]
 BRUTE_FORCE_LIMIT = 10
 
 
-class EffectOp(NamedTuple):
-    """One committed op; a tuple because a history builds one per op."""
-
-    op_index: int
-    bucket: BucketId
-    kind: str
-    key: TableKey
-    value: object
-    bucket_seq: int
-
-
 @dataclass
 class TxnEffect:
     txn_id: int
     kind: str
     commit_ns: int
-    ops: list[EffectOp]
+    ops: list[BucketOp]  # the client's own records, in program order
 
 
 @dataclass
@@ -86,16 +80,14 @@ def build_history(events: list[Event]) -> History:
         elif isinstance(ev, TxnStart):
             kinds[ev.txn_id] = ev.kind
 
-    ops_of: dict[int, list[EffectOp]] = {t: [] for t in committed_attempt}
+    ops_of: dict[int, list[BucketOp]] = {t: [] for t in committed_attempt}
     bucket_order: dict[BucketId, list[tuple[int, int, str]]] = {}
     for ev in events:
         if not isinstance(ev, BucketOp):
             continue
         if committed_attempt.get(ev.txn_id) != ev.attempt:
             continue  # op of an aborted attempt
-        ops_of[ev.txn_id].append(
-            EffectOp(ev.op_index, ev.bucket, ev.kind, ev.key, ev.value, ev.bucket_seq)
-        )
+        ops_of[ev.txn_id].append(ev)
         bucket_order.setdefault(ev.bucket, []).append((ev.bucket_seq, ev.txn_id, ev.kind))
 
     effects = [
@@ -125,23 +117,19 @@ def _normalized(state: State) -> State:
     return {key: value for key, value in state.items() if value != default_entry(key.table)}
 
 
-# Ops whose recorded value is what they observed, to be checked on replay;
-# every other op records the argument it applied.
-_OBSERVING = frozenset({Read, IncrSeq})
-
-
-def _apply_effect(state: State, op: EffectOp) -> bool:
-    """Replay one op; returns False when a read assertion fails."""
-    op_type = OP_OF_KIND.get(op.kind)
-    if op_type is None:
+def _apply_effect(state: State, op: BucketOp) -> bool:
+    """Replay one op; returns False when a read assertion fails. An op that
+    observes its entry carries no argument and records what it observed,
+    which is checked; any other op records the argument it applied."""
+    spec = SPEC_BY_KIND.get(op.kind)
+    if spec is None:
         raise VerificationError(f"unknown effect kind {op.kind!r}")
-    observing = op_type in _OBSERVING
-    storage_op = op_type(op.key) if observing else op_type(op.key, op.value)
+    storage_op = spec.op(op.key) if spec.observes else spec.op(op.key, op.value)
     try:
         entry, result = apply_op(state.get(op.key, default_entry(op.key.table)), storage_op)
     except ProtocolError as exc:
         raise VerificationError(f"recorded {op.kind} on {op.key} cannot apply: {exc}") from None
-    if observing and result != op.value:
+    if spec.observes and result != op.value:
         return False
     store_entry(state, op.key, entry)
     return True
@@ -206,7 +194,8 @@ def brute_force_serializable(history: History, final_state: State,
     return Verdict(True, "brute-force", witness=witness)
 
 
-_MUTATIONS = frozenset({"append", "remove", "write_seq", "incr_seq"})
+# Event-log kinds of the ops that may change their entry, from the op table.
+_WRITE_KINDS = frozenset(spec.kind for spec in OP_SPECS.values() if spec.writes)
 
 
 def conflict_graph_serializable(history: History) -> Verdict:
@@ -223,7 +212,7 @@ def conflict_graph_serializable(history: History) -> Verdict:
         last_writer: int | None = None
         readers_since: set[int] = set()
         for _seq, txn, kind in order:
-            if kind in _MUTATIONS:
+            if kind in _WRITE_KINDS:
                 if last_writer is not None:
                     add(last_writer, txn)
                 for reader in readers_since:

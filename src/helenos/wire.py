@@ -13,6 +13,14 @@ the body so scheme tokens ride piggyback on every operation:
                 flags(u8) delay_ms(u16) private_version(u64)
 
 All integers are big-endian. The byte-level layout is frozen; see README.
+
+A storage op kind is described in one place, its row in ``OP_SPECS`` (also
+reachable through ``SPEC_BY_OPCODE`` and ``SPEC_BY_KIND``): its opcode and
+event-log kind, whether it observes and whether it writes its entry, and
+the codecs of its argument and its result. The client, the node and the
+offline checker ask the row; only ``apply_op`` says what the op does to an
+entry. A table's entry kind, item codec and default entry are its row in
+``TABLE_ROWS``.
 """
 
 from __future__ import annotations
@@ -133,16 +141,6 @@ StorageOp = Union[Read, Append, Remove, WriteSeq, IncrSeq]
 TableEntry = Union[tuple, SeqPair]  # tuple of MsgId, tuple of Message, or SeqPair
 
 
-# By table, looked up rather than branched on: reading an Enum member off
-# its class is a slow attribute lookup, and this runs on every storage op.
-_DEFAULT_ENTRY = {table: SeqPair(0, 0) if table is TableId.SEQNO else () for table in TableId}
-
-
-def default_entry(table: TableId) -> TableEntry:
-    """What an absent key reads as."""
-    return _DEFAULT_ENTRY[table]
-
-
 def _check_append_item(table: TableId, item: object) -> None:
     """Refuse an append whose item is not of the kind ``table`` stores."""
     if table is TableId.SEQNO:
@@ -164,12 +162,13 @@ def apply_op(entry: TableEntry, op: StorageOp) -> tuple[TableEntry, object]:
     ProtocolError.
     """
     table = op.key.table
-    if isinstance(op, Read):
+    cls = type(op)
+    if cls is Read:
         return entry, entry
-    if isinstance(op, Append):
+    if cls is Append:
         _check_append_item(table, op.item)
         return (*entry, op.item), op.item
-    if isinstance(op, Remove):
+    if cls is Remove:
         # Strips every occurrence (so removes are idempotent); message
         # lists are matched by id.
         if table is TableId.SEQNO:
@@ -177,14 +176,14 @@ def apply_op(entry: TableEntry, op: StorageOp) -> tuple[TableEntry, object]:
         if table is TableId.MESSAGE:
             return tuple(m for m in entry if m.id != op.item), op.item
         return tuple(m for m in entry if m != op.item), op.item
-    if isinstance(op, WriteSeq):
+    if cls is WriteSeq:
         if table is not TableId.SEQNO:
             raise ProtocolError("sequence write on a non-sequence table")
         pair = op.pair
         if pair.current < 0 or pair.deleted < 0 or pair.deleted > pair.current:
             raise ProtocolError(f"invalid sequence pair {pair}")
         return pair, pair
-    if isinstance(op, IncrSeq):
+    if cls is IncrSeq:
         if table is not TableId.SEQNO:
             raise ProtocolError("sequence increment on a non-sequence table")
         pair = SeqPair(entry.current + 1, entry.deleted)  # type: ignore[union-attr]
@@ -212,12 +211,6 @@ class CcBlock(NamedTuple):
     flags: int = 0
     delay_ms: int = 0
     private_version: int = 0
-
-
-# Entry kind tags used in read replies and snapshots.
-ENTRY_MSGIDS = 0
-ENTRY_MESSAGES = 1
-ENTRY_SEQPAIR = 2
 
 
 # ---------------------------------------------------------------------------
@@ -281,44 +274,50 @@ def decode_seqpair(data: bytes, off: int = 0) -> tuple[SeqPair, int]:
     return SeqPair(c, d), off + 16
 
 
-# One stored item of each entry kind, as (encode, decode); a sequence-table
-# entry is a single pair.
-_ITEM_CODECS: dict[int, tuple[Callable[[Any], bytes], Callable[[bytes, int], tuple[Any, int]]]] = {
-    ENTRY_MSGIDS: (encode_msgid, decode_msgid),
-    ENTRY_MESSAGES: (encode_message, decode_message),
-    ENTRY_SEQPAIR: (encode_seqpair, decode_seqpair),
+@dataclass(frozen=True, slots=True)
+class TableRow:
+    """One table's entries: the entry-kind tag that read replies and snapshots
+    carry, the codec of one stored item, and what an absent key reads as. A
+    sequence-table entry is a single pair; every other entry is a list."""
+
+    kind: int
+    encode_item: Callable[[Any], bytes]
+    decode_item: Callable[[bytes, int], tuple[Any, int]]
+    default: TableEntry
+
+
+_MSGIDS = TableRow(0, encode_msgid, decode_msgid, ())
+_SEQPAIR = TableRow(2, encode_seqpair, decode_seqpair, SeqPair(0, 0))
+TABLE_ROWS: dict[TableId, TableRow] = {
+    TableId.TERM: _MSGIDS,
+    TableId.INTER: _MSGIDS,
+    TableId.MESSAGE: TableRow(1, encode_message, decode_message, ()),
+    TableId.SEQNO: _SEQPAIR,
 }
+_ROW_BY_KIND = {row.kind: row for row in TABLE_ROWS.values()}
 
 
-_ENTRY_KIND = {
-    TableId.TERM: ENTRY_MSGIDS,
-    TableId.INTER: ENTRY_MSGIDS,
-    TableId.MESSAGE: ENTRY_MESSAGES,
-    TableId.SEQNO: ENTRY_SEQPAIR,
-}
-
-
-def entry_kind_for(table: TableId) -> int:
-    return _ENTRY_KIND[table]
+def default_entry(table: TableId) -> TableEntry:
+    """What an absent key reads as."""
+    return TABLE_ROWS[table].default
 
 
 def encode_entry(table: TableId, entry: TableEntry) -> bytes:
-    kind = entry_kind_for(table)
-    encode = _ITEM_CODECS[kind][0]
-    if kind == ENTRY_SEQPAIR:
-        return bytes([kind]) + encode(entry)
-    return bytes([kind]) + _U32.pack(len(entry)) + b"".join(map(encode, entry))
+    row = TABLE_ROWS[table]
+    if row is _SEQPAIR:
+        return bytes([row.kind]) + row.encode_item(entry)
+    return bytes([row.kind]) + _U32.pack(len(entry)) + b"".join(map(row.encode_item, entry))
 
 
 def decode_entry(data: bytes, off: int = 0) -> tuple[TableEntry, int]:
     if len(data) - off < 1:
         raise ProtocolError("truncated entry")
-    kind = data[off]
+    row = _ROW_BY_KIND.get(data[off])
+    if row is None:
+        raise ProtocolError(f"unknown entry kind {data[off]}")
     off += 1
-    if kind not in _ITEM_CODECS:
-        raise ProtocolError(f"unknown entry kind {kind}")
-    decode = _ITEM_CODECS[kind][1]
-    if kind == ENTRY_SEQPAIR:
+    decode = row.decode_item
+    if row is _SEQPAIR:
         return decode(data, off)
     if len(data) - off < 4:
         raise ProtocolError("truncated entry count")
@@ -332,39 +331,61 @@ def decode_entry(data: bytes, off: int = 0) -> tuple[TableEntry, int]:
 
 
 def _encode_item(table: TableId, item: Any) -> bytes:
-    return _ITEM_CODECS[entry_kind_for(table)][0](item)
+    return TABLE_ROWS[table].encode_item(item)
 
 
 def _decode_item(table: TableId, data: bytes) -> Any:
-    return _ITEM_CODECS[entry_kind_for(table)][1](data, 0)[0]
+    return TABLE_ROWS[table].decode_item(data, 0)[0]
+
+
+def _encode_append(op: Append) -> bytes:
+    _check_append_item(op.key.table, op.item)  # refused before anything is sent
+    return _encode_item(op.key.table, op.item)
 
 
 @dataclass(frozen=True, slots=True)
 class OpSpec:
-    """Everything keyed by a storage op's type: its opcode, its event-log
-    kind, and the codec of the result its OK reply carries."""
+    """The one description of a storage op kind: its type, opcode and
+    event-log kind; whether its result depends on the stored entry
+    (``observes``) and whether it may change the entry (``writes``); the
+    codec of the argument its request carries after the key (None for an op
+    that carries none); and the codec of the result its OK reply carries."""
 
     op: type
     opcode: Op
     kind: str
+    observes: bool
+    writes: bool
+    encode_arg: Callable[[Any], bytes] | None
+    decode_arg: Callable[[TableId, bytes, int], tuple[Any, int]] | None
     encode_result: Callable[[TableId, Any], bytes]
     decode_result: Callable[[TableId, bytes], Any]
 
 
-# A read returns the whole entry and a remove the id it matched; every other
-# op returns one item of its table (the stored item, or the new pair).
+# An append carries and returns an item of its key's table, a remove the id
+# it matches; a read returns the whole entry; the sequence ops return the
+# new pair, and a sequence write carries it.
 OP_SPECS: dict[type, OpSpec] = {
     spec.op: spec
     for spec in (
-        OpSpec(Read, Op.READ, "read", encode_entry, lambda _table, data: decode_entry(data)[0]),
-        OpSpec(Append, Op.APPEND, "append", _encode_item, _decode_item),
-        OpSpec(Remove, Op.REMOVE, "remove", lambda _table, mid: encode_msgid(mid),
-               lambda _table, data: decode_msgid(data)[0]),
-        OpSpec(WriteSeq, Op.WRITE_SEQ, "write_seq", _encode_item, _decode_item),
-        OpSpec(IncrSeq, Op.INCR_SEQ, "incr_seq", _encode_item, _decode_item),
+        OpSpec(Read, Op.READ, "read", True, False, None, None,
+               encode_entry, lambda _table, data: decode_entry(data)[0]),
+        OpSpec(Append, Op.APPEND, "append", False, True,
+               _encode_append, lambda table, data, off: TABLE_ROWS[table].decode_item(data, off),
+               _encode_item, _decode_item),
+        OpSpec(Remove, Op.REMOVE, "remove", False, True,
+               lambda op: encode_msgid(op.item), lambda _table, data, off: decode_msgid(data, off),
+               lambda _table, mid: encode_msgid(mid), lambda _table, data: decode_msgid(data)[0]),
+        OpSpec(WriteSeq, Op.WRITE_SEQ, "write_seq", False, True,
+               lambda op: encode_seqpair(op.pair),
+               lambda _table, data, off: decode_seqpair(data, off),
+               _encode_item, _decode_item),
+        OpSpec(IncrSeq, Op.INCR_SEQ, "incr_seq", True, True, None, None,
+               _encode_item, _decode_item),
     )
 }
-OP_OF_KIND: dict[str, type] = {spec.kind: spec.op for spec in OP_SPECS.values()}
+SPEC_BY_OPCODE: dict[int, OpSpec] = {spec.opcode: spec for spec in OP_SPECS.values()}
+SPEC_BY_KIND: dict[str, OpSpec] = {spec.kind: spec for spec in OP_SPECS.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -421,41 +442,23 @@ def decode_cc(data: bytes, off: int = 0) -> tuple[CcBlock, int]:
 
 
 def encode_storage_body(op: StorageOp) -> bytes:
+    encode_arg = OP_SPECS[type(op)].encode_arg
     body = op.key.encode()
-    if isinstance(op, Append):
-        _check_append_item(op.key.table, op.item)
-        body += _encode_item(op.key.table, op.item)
-    elif isinstance(op, Remove):
-        body += encode_msgid(op.item)
-    elif isinstance(op, WriteSeq):
-        body += encode_seqpair(op.pair)
-    return body
-
-
-# Storage opcode -> (op type, decoder of the item after the key, or None for
-# an op that carries none). An append's item is of its table's kind.
-_STORAGE_BODIES: dict[int, tuple[type, Callable | None]] = {
-    Op.READ: (Read, None),
-    Op.APPEND: (Append, lambda table, data, off: _ITEM_CODECS[_ENTRY_KIND[table]][1](data, off)),
-    Op.REMOVE: (Remove, lambda _table, data, off: decode_msgid(data, off)),
-    Op.WRITE_SEQ: (WriteSeq, lambda _table, data, off: decode_seqpair(data, off)),
-    Op.INCR_SEQ: (IncrSeq, None),
-}
+    return body if encode_arg is None else body + encode_arg(op)
 
 
 def decode_storage_body(opcode: int, table: TableId, data: bytes) -> StorageOp:
     key, off = decode_key(data)
     if key.table is not table:
         raise ProtocolError("key table does not match bucket table")
-    body = _STORAGE_BODIES.get(opcode)
-    if body is None:
+    spec = SPEC_BY_OPCODE.get(opcode)
+    if spec is None:
         raise ProtocolError(f"opcode {opcode} is not a storage op")
-    op_type, decode_item = body
-    if decode_item is None:
-        op = op_type(key)
+    if spec.decode_arg is None:
+        op = spec.op(key)
     else:
-        item, off = decode_item(table, data, off)
-        op = op_type(key, item)
+        arg, off = spec.decode_arg(table, data, off)
+        op = spec.op(key, arg)
     if off != len(data):
         raise ProtocolError("trailing bytes after storage body")
     return op

@@ -202,6 +202,39 @@ def test_apply_op_table(entry, op, expected):
     assert (op.key in data) == (expected[0] != default_entry(op.key.table))
 
 
+# Two distinct entries of each table, and one valid op of each kind on each
+# table that has it.
+TWO_ENTRIES = {
+    TERM: ((), (ID1, ID2)),
+    INTER: ((ID2,), (ID1, ID2)),
+    MSGS: ((MSG1,), (MSG1, MSG2)),
+    SEQ: (ZERO, SeqPair(7, 2)),
+}
+ROW_OPS = [Read(key) for key in TWO_ENTRIES] + [
+    Append(TERM, ID2), Append(INTER, ID1), Append(MSGS, MSG2),
+    Remove(TERM, ID1), Remove(INTER, ID1), Remove(MSGS, ID1),
+    WriteSeq(SEQ, SeqPair(4, 2)), IncrSeq(SEQ),
+]
+
+
+def test_every_op_row_is_checked():
+    assert {type(op) for op in ROW_OPS} == set(wire.OP_SPECS)
+
+
+@pytest.mark.parametrize("op", ROW_OPS, ids=lambda op: f"{type(op).__name__}-{op.key.table.name}")
+def test_op_row_flags_match_apply_op(op):
+    """What the op table says an op observes and writes is what apply_op does."""
+    spec = wire.OP_SPECS[type(op)]
+    entries = TWO_ENTRIES[op.key]
+    (new_a, result_a), (new_b, result_b) = (apply_op(entry, op) for entry in entries)
+    if spec.writes:
+        assert (new_a, new_b) != entries
+    else:  # the entry is returned as it is
+        assert new_a is entries[0] and new_b is entries[1]
+    # An op that does not observe its entry returns the same for both entries.
+    assert (result_a != result_b) is spec.observes
+
+
 class TestServe:
     def test_reply_echoes_request_id(self):
         node = one_node()
@@ -281,21 +314,32 @@ class TestServe:
         assert wire.decode_entry(payload)[0] == SeqPair(100, 0)
 
     def test_distinct_buckets_do_not_block_each_other(self):
-        node = one_node()
+        # Each injected delay waits for the other one at a barrier: delays
+        # served one after the other would break it and fail both requests.
+        asked: list[float] = []
+        barrier = threading.Barrier(2, timeout=5.0)
+
+        def sleep(seconds: float) -> None:
+            asked.append(seconds)
+            barrier.wait()
+
+        node = Node("node0", RingLayout.from_node_ids(["node0"]), sleep=sleep)
         cc = CcBlock(Scheme.NONE, 1, 1, 1, delay_ms=50)
         keys = [seqno_key(1), inter_key(1, 2)]
         assert bucket_of(keys[0], B) != bucket_of(keys[1], B)
-        start = time.monotonic()
-        threads = [
-            threading.Thread(target=storage, args=(node, Read(k)), kwargs={"cc": cc})
-            for k in keys
-        ]
+        opcodes: list[Op] = []
+
+        def read(key) -> None:
+            opcodes.append(storage(node, Read(key), cc=cc)[0])
+
+        threads = [threading.Thread(target=read, args=(key,)) for key in keys]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        elapsed = time.monotonic() - start
-        assert 0.050 <= elapsed < 0.095, f"delays serialized: {elapsed:.3f}s"
+            t.join(10.0)
+        assert not any(t.is_alive() for t in threads)
+        assert opcodes == [Op.OK, Op.OK]
+        assert asked == [0.05, 0.05]
 
 
 def _raw_frame(tag: int, opcode: int, rest: bytes, request_id: int = 4) -> bytes:

@@ -10,7 +10,7 @@ from helenos import verify
 from helenos.config import ScenarioConfig, TaskType
 from helenos.driver import run_in_process
 from helenos.errors import VerificationError
-from helenos.metrics import Commit
+from helenos.metrics import BucketOp, Commit
 from helenos.model import (
     BucketId,
     Message,
@@ -24,7 +24,6 @@ from helenos.model import (
     term_key,
 )
 from helenos.verify import (
-    EffectOp,
     History,
     TxnEffect,
     brute_force_serializable,
@@ -33,7 +32,7 @@ from helenos.verify import (
     conflict_graph_serializable,
     state_from_snapshot,
 )
-from helenos.wire import Scheme
+from helenos.wire import OP_SPECS, Scheme
 
 BX = BucketId(TableId.SEQNO, 0)
 BY = BucketId(TableId.SEQNO, 1)
@@ -41,14 +40,18 @@ KX = seqno_key(10)
 KY = seqno_key(11)
 
 
+def effect_op(op_index, bucket, kind, key, value, bucket_seq) -> BucketOp:
+    return BucketOp(0, 0, 0, 1, bucket, op_index, kind, key, value, bucket_seq)
+
+
 def write_skew_history() -> tuple[History, dict]:
     t1 = TxnEffect(1, "skew", 100, [
-        EffectOp(1, BX, "read", KX, SeqPair(0, 0), 1),
-        EffectOp(2, BY, "write_seq", KY, SeqPair(1, 0), 2),
+        effect_op(1, BX, "read", KX, SeqPair(0, 0), 1),
+        effect_op(2, BY, "write_seq", KY, SeqPair(1, 0), 2),
     ])
     t2 = TxnEffect(2, "skew", 101, [
-        EffectOp(1, BY, "read", KY, SeqPair(0, 0), 1),
-        EffectOp(2, BX, "write_seq", KX, SeqPair(1, 0), 2),
+        effect_op(1, BY, "read", KY, SeqPair(0, 0), 1),
+        effect_op(2, BX, "write_seq", KX, SeqPair(1, 0), 2),
     ])
     history = History(
         effects=[t1, t2],
@@ -64,12 +67,12 @@ def write_skew_history() -> tuple[History, dict]:
 def lost_update_history() -> tuple[History, dict]:
     """Both transactions read X, then both write X: one update is lost."""
     t1 = TxnEffect(1, "lost", 100, [
-        EffectOp(1, BX, "read", KX, SeqPair(0, 0), 1),
-        EffectOp(2, BX, "write_seq", KX, SeqPair(1, 0), 3),
+        effect_op(1, BX, "read", KX, SeqPair(0, 0), 1),
+        effect_op(2, BX, "write_seq", KX, SeqPair(1, 0), 3),
     ])
     t2 = TxnEffect(2, "lost", 101, [
-        EffectOp(1, BX, "read", KX, SeqPair(0, 0), 2),
-        EffectOp(2, BX, "write_seq", KX, SeqPair(1, 0), 4),
+        effect_op(1, BX, "read", KX, SeqPair(0, 0), 2),
+        effect_op(2, BX, "write_seq", KX, SeqPair(1, 0), 4),
     ])
     history = History(
         effects=[t1, t2],
@@ -81,14 +84,14 @@ def lost_update_history() -> tuple[History, dict]:
 
 def stale_read_history() -> tuple[History, dict]:
     """T3 sees T2's write, which read T1's write, yet reads X from before T1."""
-    t1 = TxnEffect(1, "w", 100, [EffectOp(1, BX, "write_seq", KX, SeqPair(1, 0), 2)])
+    t1 = TxnEffect(1, "w", 100, [effect_op(1, BX, "write_seq", KX, SeqPair(1, 0), 2)])
     t2 = TxnEffect(2, "rw", 101, [
-        EffectOp(1, BX, "read", KX, SeqPair(1, 0), 3),
-        EffectOp(2, BY, "write_seq", KY, SeqPair(1, 0), 1),
+        effect_op(1, BX, "read", KX, SeqPair(1, 0), 3),
+        effect_op(2, BY, "write_seq", KY, SeqPair(1, 0), 1),
     ])
     t3 = TxnEffect(3, "rr", 102, [
-        EffectOp(1, BY, "read", KY, SeqPair(1, 0), 2),
-        EffectOp(2, BX, "read", KX, SeqPair(0, 0), 1),
+        effect_op(1, BY, "read", KY, SeqPair(1, 0), 2),
+        effect_op(2, BX, "read", KX, SeqPair(0, 0), 1),
     ])
     history = History(
         effects=[t1, t2, t3],
@@ -109,7 +112,7 @@ def chain_history(n: int) -> History:
         ops = []
         for op_index, b in enumerate(buckets[max(i - 1, 0):i + 1], start=1):
             seq = len(bucket_order[b]) + 1
-            ops.append(EffectOp(op_index, b, "write_seq", seqno_key(b.index), SeqPair(i, 0), seq))
+            ops.append(effect_op(op_index, b, "write_seq", seqno_key(b.index), SeqPair(i, 0), seq))
             bucket_order[b].append((seq, i, "write_seq"))
         effects.append(TxnEffect(i, "chain", i, ops))
     return History(effects, bucket_order)
@@ -155,7 +158,7 @@ class TestBruteForce:
         assert not verdict.ok
 
     def test_incr_seq_effect_asserts_predecessor(self):
-        t = TxnEffect(1, "incr", 10, [EffectOp(1, BX, "incr_seq", KX, SeqPair(5, 0), 1)])
+        t = TxnEffect(1, "incr", 10, [effect_op(1, BX, "incr_seq", KX, SeqPair(5, 0), 1)])
         history = History([t], {BX: [(1, 1, "incr_seq")]})
         ok = brute_force_serializable(history, {KX: SeqPair(5, 0)},
                                       initial_state={KX: SeqPair(4, 0)})
@@ -170,7 +173,7 @@ class TestBruteForce:
         assert not brute_force_serializable(history, final).ok
 
     def test_limit_enforced(self):
-        effects = [TxnEffect(i, "t", i, [EffectOp(1, BX, "read", KX, SeqPair(0, 0), i)])
+        effects = [TxnEffect(i, "t", i, [effect_op(1, BX, "read", KX, SeqPair(0, 0), i)])
                    for i in range(11)]
         history = History(effects, {})
         with pytest.raises(VerificationError):
@@ -237,9 +240,20 @@ class TestConflictGraph:
         assert verdict.ok
         assert verdict.witness == list(range(n))
 
+    @pytest.mark.parametrize("spec", OP_SPECS.values(), ids=lambda spec: spec.kind)
+    def test_op_kind_conflicts_exactly_when_its_row_writes(self, spec):
+        # T1 does the op on X, T2 reads X and writes Y, and T1 then reads Y.
+        history = History([TxnEffect(t, "t", t, []) for t in (1, 2)], {
+            BX: [(1, 1, spec.kind), (2, 2, "read")],
+            BY: [(1, 2, "write_seq"), (2, 1, "read")],
+        })
+        verdict = conflict_graph_serializable(history)
+        assert verdict.ok is not spec.writes
+        assert verdict.cycle == ([1, 2] if spec.writes else None)
+
     def test_read_read_is_not_a_conflict(self):
-        t1 = TxnEffect(1, "r", 10, [EffectOp(1, BX, "read", KX, SeqPair(0, 0), 1)])
-        t2 = TxnEffect(2, "r", 11, [EffectOp(1, BX, "read", KX, SeqPair(0, 0), 2)])
+        t1 = TxnEffect(1, "r", 10, [effect_op(1, BX, "read", KX, SeqPair(0, 0), 1)])
+        t2 = TxnEffect(2, "r", 11, [effect_op(1, BX, "read", KX, SeqPair(0, 0), 2)])
         history = History([t1, t2], {BX: [(1, 1, "read"), (2, 2, "read")]})
         verdict = conflict_graph_serializable(history)
         assert verdict.ok
