@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 
 from .config import ScenarioConfig, apply_overrides, bundled_scenarios, load_scenario
-from .driver import run_in_process, run_scenario
+from .driver import repetition_seeds, run_in_process, run_scenario
 from .errors import ConfigError, HelenosError, VerificationError
 from .metrics import REPORT_COLUMNS, read_event_log, report_row, write_event_log, write_report_csv
 from .model import RingLayout
@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario and report metrics")
     _add_run_args(p_run)
-    p_run.add_argument("--repeat", type=int, default=1, help="repetitions (seeds seed..seed+n-1)")
+    p_run.add_argument("--repeat", type=int, default=1,
+                       help="repetitions (seeds spaced by the least power of two >= clients)")
     p_run.add_argument("--record", help="write the event log here (TSV)")
     p_run.add_argument("--snapshot-out", help="write the final snapshot dump here")
 
@@ -275,8 +276,8 @@ def cmd_run(args) -> int:
     if args.repeat < 1:
         raise ConfigError("--repeat must be >= 1")
     rows = []
-    for rep in range(args.repeat):
-        cfg = replace(base, seed=base.seed + rep)
+    for rep, seed in enumerate(repetition_seeds(base, args.repeat)):
+        cfg = replace(base, seed=seed)
         cfg, artifacts = _execute(cfg, args.in_process)
         rows.append(report_row(_meta(cfg, artifacts), artifacts.report))
         if args.record:
@@ -312,8 +313,8 @@ def cmd_sweep(args) -> int:
     rows = []
     for value in _axis_values(args.values):
         cfg_v = apply_overrides(base, {field: value})
-        for rep in range(args.repeat):
-            cfg = replace(cfg_v, seed=cfg_v.seed + rep)
+        for seed in repetition_seeds(cfg_v, args.repeat):
+            cfg = replace(cfg_v, seed=seed)
             cfg, artifacts = _execute(cfg, args.in_process)
             row = report_row(_meta(cfg, artifacts), artifacts.report)
             row["axis"] = args.axis

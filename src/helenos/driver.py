@@ -53,6 +53,19 @@ class RunArtifacts:
         return total / len(self.history.effects)
 
 
+def repetition_seeds(cfg: ScenarioConfig, n: int) -> list[int]:
+    """The seeds of ``n`` repetitions of ``cfg``, the first being its own.
+
+    Client c draws from ``seed ^ c``, so seeds that agree above the bits the
+    client ids use hand the same task streams to different clients. The
+    seeds are therefore spaced by the smallest power of two that is at least
+    ``cfg.clients``: each repetition's clients draw from their own block of
+    seeds, and the repetitions are distinct workloads.
+    """
+    step = 1 << (cfg.clients - 1).bit_length()
+    return [cfg.seed + rep * step for rep in range(n)]
+
+
 def _make_runtime(cfg: ScenarioConfig, layout: RingLayout, transport: Transport,
                   client_id: int, sink: EventSink):
     ctx = TxnContext(

@@ -6,7 +6,8 @@ serializes to newline-delimited, tab-separated records with the fixed
 column order (time-ns, kind, txn-id, client-id, attempt, bucket, op); the
 ``op`` column carries a compact JSON descriptor (storage op kind, program
 order index, key, observed value, and server apply position) so that a
-recorded run can be re-checked offline.
+recorded run can be re-checked offline. The reader accepts exactly the rows
+the writer writes and names the first line it cannot read.
 
 Bucket-operation counts include every executed operation, retried
 attempts included; only the correctness checker filters down to committed
@@ -17,29 +18,36 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .errors import VerificationError
-from .model import BucketId, Message, MsgId, SeqPair, TableId, TableKey
+from .model import KEY_ARITY, BucketId, Message, MsgId, SeqPair, TableId, TableKey
+from .wire import SPEC_BY_KIND
 
 NS = 1_000_000_000
 
+# The event records are plain slots dataclasses: one is built per storage op
+# and per log row, and a frozen one costs several times as much to build.
+# Their generated ``__eq__`` compares the class too, so a Commit never equals
+# a RetryStart with the same fields.
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(slots=True)
 class ClientStart:
     time_ns: int
     client_id: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ClientEnd:
     time_ns: int
     client_id: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TxnStart:
     time_ns: int
     txn_id: int
@@ -47,7 +55,7 @@ class TxnStart:
     kind: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RetryStart:
     time_ns: int
     txn_id: int
@@ -55,7 +63,7 @@ class RetryStart:
     attempt: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Commit:
     time_ns: int
     txn_id: int
@@ -63,7 +71,7 @@ class Commit:
     attempt: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BucketOp:
     time_ns: int
     txn_id: int
@@ -256,7 +264,17 @@ def aggregate(events: Iterable[Event], total_time_s: float | None = None) -> Met
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 _decode_json = json.JSONDecoder().decode
 
+# Table names by tag: ``TableId.name`` is a property that costs a call.
+_TABLE_NAMES = tuple(table.name for table in TableId)
 _TABLE_BY_NAME = {table.name: table for table in TableId}
+
+# The op column of a bucket_op row as ``write_event_log`` formats it. The
+# pattern only splits the column; each integer, key and value it captures is
+# then checked to be exactly what the writer writes for what it parses to.
+_OP_COLUMN = re.compile(
+    r'\{"kind":"([^"\\]*)","i":([-0-9]+),"key":"([^"\\]*)",'
+    r'"value":(.*),"seq":([-0-9]+)\}'
+)
 
 
 def _value_json(value: object) -> str:
@@ -290,18 +308,62 @@ def _value_from_json(obj: object) -> object:
     return obj
 
 
+def _value_from_str(text: str) -> object:
+    value = _value_from_json(_decode_json(text))
+    if _value_json(value) != text:
+        raise ValueError(f"bad value {text!r}")
+    return value
+
+
 def _key_to_str(key: TableKey) -> str:
-    return f"{key.table.name}:" + ",".join(str(p) for p in key.parts)
+    return f"{_TABLE_NAMES[key.table]}:" + ",".join(map(str, key.parts))
+
+
+def _int_from_str(text: str) -> int:
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"bad integer {text!r}")
+    return value
 
 
 def _key_from_str(text: str) -> TableKey:
     table_name, _, parts = text.partition(":")
-    return TableKey(_TABLE_BY_NAME[table_name], tuple(int(p) for p in parts.split(",")))
+    table = _TABLE_BY_NAME.get(table_name)
+    if table is not None:
+        key = TableKey(table, tuple(map(_int_from_str, parts.split(","))))
+        if len(key.parts) == KEY_ARITY[table]:
+            return key
+    raise ValueError(f"bad key {text!r}")
 
 
 def _bucket_from_str(text: str) -> BucketId:
     table_name, _, index = text.partition(":")
-    return BucketId(_TABLE_BY_NAME[table_name], int(index))
+    table = _TABLE_BY_NAME.get(table_name)
+    if table is not None:
+        return BucketId(table, _int_from_str(index))
+    raise ValueError(f"bad bucket {text!r}")
+
+
+class _ParseOnce(dict):
+    """``parsed[text]`` parses each distinct text once, and rows with the same
+    text share the result. A result that is not hashable, and so may be
+    mutable (a JSON list value, which the writer never emits), is parsed
+    again for each row instead of being shared."""
+
+    __slots__ = ("parse",)
+
+    def __init__(self, parse: Callable[[str], object]) -> None:
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text: str) -> object:
+        result = self.parse(text)
+        try:
+            hash(result)
+        except TypeError:
+            return result
+        self[text] = result
+        return result
 
 
 def write_event_log(events: Iterable[Event], out: io.TextIOBase) -> None:
@@ -315,10 +377,10 @@ def write_event_log(events: Iterable[Event], out: io.TextIOBase) -> None:
         if cls is BucketOp:
             bucket = buckets.get(ev.bucket)
             if bucket is None:
-                bucket = buckets[ev.bucket] = f"{ev.bucket.table.name}:{ev.bucket.index}"
+                bucket = buckets[ev.bucket] = f"{_TABLE_NAMES[ev.bucket.table]}:{ev.bucket.index}"
             key = keys.get(ev.key)
             if key is None:
-                key = keys[ev.key] = _encode_json(_key_to_str(ev.key))
+                key = keys[ev.key] = f'"{_key_to_str(ev.key)}"'  # nothing to escape
             kind = kinds.get(ev.kind)
             if kind is None:
                 kind = kinds[ev.kind] = _encode_json(ev.kind)
@@ -344,10 +406,20 @@ def write_event_log(events: Iterable[Event], out: io.TextIOBase) -> None:
 
 
 def read_event_log(lines: Iterable[str]) -> list[Event]:
-    buckets: dict[str, BucketId] = {}
-    keys: dict[str, TableKey] = {}
+    """Parse the rows ``write_event_log`` writes, and nothing else: a row it
+    cannot read raises VerificationError naming its line.
+
+    Each distinct integer, bucket, key and value text is parsed once, and
+    rows with the same text share its result: every value the writer emits
+    is immutable.
+    """
+    ints = _ParseOnce(_int_from_str)
+    buckets = _ParseOnce(_bucket_from_str)
+    keys = _ParseOnce(_key_from_str)
+    values = _ParseOnce(_value_from_str)
     events: list[Event] = []
     append = events.append
+    match_op = _OP_COLUMN.fullmatch
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line:
@@ -356,29 +428,32 @@ def read_event_log(lines: Iterable[str]) -> list[Event]:
         if len(cols) != 7:
             raise VerificationError(f"event log line {lineno}: expected 7 columns")
         time_ns, kind, txn, client, attempt, bucket, op = cols
-        t = int(time_ns)
-        if kind == "bucket_op":
-            bucket_id = buckets.get(bucket)
-            if bucket_id is None:
-                bucket_id = buckets[bucket] = _bucket_from_str(bucket)
-            desc = _decode_json(op)
-            key = keys.get(desc["key"])
-            if key is None:
-                key = keys[desc["key"]] = _key_from_str(desc["key"])
-            append(BucketOp(t, int(txn), int(client), int(attempt), bucket_id, desc["i"],
-                            desc["kind"], key, _value_from_json(desc["value"]), desc["seq"]))
-        elif kind == "txn_start":
-            append(TxnStart(t, int(txn), int(client), op))
-        elif kind == "commit":
-            append(Commit(t, int(txn), int(client), int(attempt)))
-        elif kind == "retry_start":
-            append(RetryStart(t, int(txn), int(client), int(attempt)))
-        elif kind == "client_start":
-            append(ClientStart(t, int(client)))
-        elif kind == "client_end":
-            append(ClientEnd(t, int(client)))
-        else:
-            raise VerificationError(f"event log line {lineno}: unknown kind {kind!r}")
+        try:
+            if kind == "bucket_op":
+                m = match_op(op)
+                if m is None:
+                    raise ValueError("op column is not what --record writes")
+                op_kind, op_index, key, value, seq = m.groups()
+                spec = SPEC_BY_KIND.get(op_kind)
+                if spec is None:
+                    raise ValueError(f"unknown op kind {op_kind!r}")
+                append(BucketOp(int(time_ns), ints[txn], ints[client], ints[attempt],
+                                buckets[bucket], ints[op_index], spec.kind, keys[key],
+                                values[value], ints[seq]))
+            elif kind == "txn_start":
+                append(TxnStart(int(time_ns), ints[txn], ints[client], op))
+            elif kind == "commit":
+                append(Commit(int(time_ns), ints[txn], ints[client], ints[attempt]))
+            elif kind == "retry_start":
+                append(RetryStart(int(time_ns), ints[txn], ints[client], ints[attempt]))
+            elif kind == "client_start":
+                append(ClientStart(int(time_ns), ints[client]))
+            elif kind == "client_end":
+                append(ClientEnd(int(time_ns), ints[client]))
+            else:
+                raise ValueError(f"unknown kind {kind!r}")
+        except (ValueError, TypeError) as exc:  # a column that does not parse
+            raise VerificationError(f"event log line {lineno}: {exc}") from None
     return events
 
 

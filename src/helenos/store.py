@@ -26,7 +26,7 @@ from typing import Callable
 
 from . import wire
 from .errors import ProtocolError, RoutingError
-from .model import TABLE_BY_TAG, BucketId, Message, RingLayout, TableId, TableKey, decode_key
+from .model import TABLE_BY_TAG, BucketId, Message, RingLayout, TableId, TableKey, key_end
 from .wire import Append, ErrCode, Op, Scheme, StorageOp, TableEntry
 
 SNAPSHOT_MAGIC = b"HELSNAP1"
@@ -236,16 +236,18 @@ def pack_snapshot(entries: list[tuple[bytes, bytes]]) -> bytes:
 
 
 def unpack_snapshot(dump: bytes) -> list[tuple[bytes, bytes]]:
+    """The (key encoding, entry encoding) pairs of a dump, found by walking
+    each key's and entry's length once; nothing is decoded."""
     if dump[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
         raise ProtocolError("bad snapshot header")
-    count = int.from_bytes(dump[len(SNAPSHOT_MAGIC) : len(SNAPSHOT_MAGIC) + 8], "big")
     off = len(SNAPSHOT_MAGIC) + 8
+    count = int.from_bytes(dump[len(SNAPSHOT_MAGIC) : off], "big")
     entries = []
     for _ in range(count):
-        _key, key_end = decode_key(dump[off:])
-        _entry, entry_end = wire.decode_entry(dump[off + key_end :])
-        entries.append((dump[off : off + key_end], dump[off + key_end : off + key_end + entry_end]))
-        off += key_end + entry_end
+        split = key_end(dump, off)
+        end = wire.entry_end(dump, split)
+        entries.append((dump[off:split], dump[split:end]))
+        off = end
     if off != len(dump):
         raise ProtocolError("trailing bytes in snapshot")
     return entries

@@ -10,9 +10,10 @@ sequential order that reproduces the final snapshot:
   tractable. The first witness found is returned.
 * conflict-graph mode (larger runs): builds precedence edges from the
   per-bucket server apply order, treating every op kind whose row in
-  ``wire.OP_SPECS`` says ``writes`` (all but ``read``) as a write, and
-  runs Kahn's algorithm over them, which is linear in transactions plus
-  edges (apart from the sorts that fix the witness order). An acyclic
+  ``wire.OP_SPECS`` says ``writes`` (all but ``read``) as a write and
+  refusing a kind with no row, as brute force does. It runs Kahn's
+  algorithm over the edges, which is linear in transactions plus edges
+  (apart from the sorts that fix the witness order). An acyclic
   graph means the history is conflict serializable (Papadimitriou, JACM
   1979) and the topological order is the witness. Only when Kahn's
   algorithm leaves transactions unplaced does it search for the shortest
@@ -194,8 +195,8 @@ def brute_force_serializable(history: History, final_state: State,
     return Verdict(True, "brute-force", witness=witness)
 
 
-# Event-log kinds of the ops that may change their entry, from the op table.
-_WRITE_KINDS = frozenset(spec.kind for spec in OP_SPECS.values() if spec.writes)
+# Whether each event-log op kind may change its entry, from the op table.
+_WRITES = {spec.kind: spec.writes for spec in OP_SPECS.values()}
 
 
 def conflict_graph_serializable(history: History) -> Verdict:
@@ -212,7 +213,10 @@ def conflict_graph_serializable(history: History) -> Verdict:
         last_writer: int | None = None
         readers_since: set[int] = set()
         for _seq, txn, kind in order:
-            if kind in _WRITE_KINDS:
+            writes = _WRITES.get(kind)
+            if writes is None:
+                raise VerificationError(f"unknown effect kind {kind!r}")
+            if writes:
                 if last_writer is not None:
                     add(last_writer, txn)
                 for reader in readers_since:

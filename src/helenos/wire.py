@@ -219,6 +219,7 @@ class CcBlock(NamedTuple):
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
+_U64_PAIR = struct.Struct(">QQ")
 
 
 def encode_msgid(m: MsgId) -> bytes:
@@ -228,38 +229,44 @@ def encode_msgid(m: MsgId) -> bytes:
 def decode_msgid(data: bytes, off: int = 0) -> tuple[MsgId, int]:
     if len(data) - off < 16:
         raise ProtocolError("truncated MsgId")
-    r = int.from_bytes(data[off : off + 8], "big")
-    s = int.from_bytes(data[off + 8 : off + 16], "big")
-    return MsgId(r, s), off + 16
+    return MsgId(*_U64_PAIR.unpack_from(data, off)), off + 16
+
+
+# A message is its id, sender, recipient and word count (one head), its
+# words, and its timestamp; the words' struct is built once per word count.
+_MESSAGE_HEAD = struct.Struct(">QQQQH")
+
+
+class _WordStructs(dict):
+    def __missing__(self, n: int) -> struct.Struct:
+        words = self[n] = struct.Struct(f">{n}Q")
+        return words
+
+
+_WORDS = _WordStructs()
 
 
 def encode_message(m: Message) -> bytes:
-    out = encode_msgid(m.id)
-    out += m.sender.to_bytes(8, "big")
-    out += m.recipient.to_bytes(8, "big")
-    out += _U16.pack(len(m.content))
-    for word in m.content:
-        out += word.to_bytes(8, "big")
-    out += m.timestamp.to_bytes(8, "big")
-    return out
+    mid = m.id
+    content = m.content
+    try:
+        return (_MESSAGE_HEAD.pack(mid.recipient, mid.seq, m.sender, m.recipient, len(content))
+                + _WORDS[len(content)].pack(*content) + _U64.pack(m.timestamp))
+    except struct.error as exc:  # an int outside u64, as int.to_bytes would refuse it
+        raise OverflowError(f"message field out of range: {exc}") from None
 
 
 def decode_message(data: bytes, off: int = 0) -> tuple[Message, int]:
-    mid, off = decode_msgid(data, off)
-    if len(data) - off < 18:
-        raise ProtocolError("truncated message")
-    sender = int.from_bytes(data[off : off + 8], "big")
-    recipient = int.from_bytes(data[off + 8 : off + 16], "big")
-    (nwords,) = _U16.unpack_from(data, off + 16)
-    off += 18
-    if len(data) - off < 8 * nwords + 8:
+    left = len(data) - off
+    if left < 34:
+        raise ProtocolError("truncated MsgId" if left < 16 else "truncated message")
+    r, s, sender, recipient, nwords = _MESSAGE_HEAD.unpack_from(data, off)
+    end = off + 34 + 8 * nwords
+    if len(data) - end < 8:
         raise ProtocolError("truncated message content")
-    content = tuple(
-        int.from_bytes(data[off + 8 * i : off + 8 * i + 8], "big") for i in range(nwords)
-    )
-    off += 8 * nwords
-    ts = int.from_bytes(data[off : off + 8], "big")
-    return Message(mid, sender, recipient, content, ts), off + 8
+    content = _WORDS[nwords].unpack_from(data, off + 34)
+    (ts,) = _U64.unpack_from(data, end)
+    return Message(MsgId(r, s), sender, recipient, content, ts), end + 8
 
 
 def encode_seqpair(p: SeqPair) -> bytes:
@@ -269,9 +276,7 @@ def encode_seqpair(p: SeqPair) -> bytes:
 def decode_seqpair(data: bytes, off: int = 0) -> tuple[SeqPair, int]:
     if len(data) - off < 16:
         raise ProtocolError("truncated sequence pair")
-    c = int.from_bytes(data[off : off + 8], "big")
-    d = int.from_bytes(data[off + 8 : off + 16], "big")
-    return SeqPair(c, d), off + 16
+    return SeqPair(*_U64_PAIR.unpack_from(data, off)), off + 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -328,6 +333,40 @@ def decode_entry(data: bytes, off: int = 0) -> tuple[TableEntry, int]:
         item, off = decode(data, off)
         items.append(item)
     return tuple(items), off
+
+
+def entry_end(data: bytes, off: int = 0) -> int:
+    """Where the entry encoded at ``off`` ends, found from its kind, its item
+    count and each message's word count without decoding any item. Refuses
+    what ``decode_entry`` refuses, with the same texts."""
+    if len(data) - off < 1:
+        raise ProtocolError("truncated entry")
+    row = _ROW_BY_KIND.get(data[off])
+    if row is None:
+        raise ProtocolError(f"unknown entry kind {data[off]}")
+    off += 1
+    if row is _SEQPAIR:
+        if len(data) - off < 16:
+            raise ProtocolError("truncated sequence pair")
+        return off + 16
+    if len(data) - off < 4:
+        raise ProtocolError("truncated entry count")
+    (count,) = _U32.unpack_from(data, off)
+    off += 4
+    if row is _MSGIDS:
+        if len(data) - off < 16 * count:
+            raise ProtocolError("truncated MsgId")
+        return off + 16 * count
+    size = len(data)
+    for _ in range(count):
+        left = size - off
+        if left < 34:
+            raise ProtocolError("truncated MsgId" if left < 16 else "truncated message")
+        (nwords,) = _U16.unpack_from(data, off + 32)
+        off += 42 + 8 * nwords
+        if off > size:
+            raise ProtocolError("truncated message content")
+    return off
 
 
 def _encode_item(table: TableId, item: Any) -> bytes:

@@ -9,6 +9,8 @@ import socket
 import subprocess
 import sys
 import time
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -22,8 +24,9 @@ from helenos.config import (
     load_scenario,
     parse_config,
 )
+from helenos.driver import repetition_seeds, run_in_process
 from helenos.errors import ConfigError
-from helenos.metrics import write_event_log
+from helenos.metrics import BucketOp, TxnStart, write_event_log
 from helenos.model import SeqPair, seqno_key
 from helenos.store import pack_snapshot
 from helenos.transport import read_frame_from
@@ -187,6 +190,20 @@ class TestRunCommand:
         assert len(lines) == 1 + 2 + 1  # header, two repetitions, mean
         assert lines[-1].split(",")[2] == "mean"
 
+    def test_repetition_seeds_are_spaced_past_the_client_ids(self, tmp_path):
+        out = tmp_path / "report.csv"
+        code = run_cli(
+            "run", "--config", "standard", "--in-process", "2",
+            "--scheme", "glock", "--seed", "9", "--repeat", "3",
+            "--override", "clients=3", "--override", "tasks_per_client=1",
+            "--override", "op_delay_ms=0", "--override", "buckets=8",
+            "--override", "user_population=8",
+            "--out", str(out),
+        )
+        assert code == 0
+        seeds = [line.split(",")[2] for line in out.read_text().splitlines()[1:]]
+        assert seeds == ["9", "13", "17", "mean"]
+
     def test_missing_endpoints_is_usage_error(self):
         assert run_cli("run", "--config", "standard") == 1
 
@@ -244,6 +261,21 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()[1:]
         assert [line.split(",")[1] for line in lines] == ["glock", "fgl", "occ", "pesv"]
 
+    def test_sweep_repetitions_use_the_repetition_seeds(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            "sweep", "--config", "standard", "--in-process", "2", "--seed", "5",
+            "--scheme", "glock", "--axis", "clients", "--values", "1,2", "--repeat", "2",
+            "--override", "tasks_per_client=1", "--override", "op_delay_ms=0",
+            "--override", "buckets=8", "--override", "user_population=8",
+            "--out", str(out),
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        # axis, axis_value, scenario, scheme, seed, clients, ...
+        assert [(row[1], row[4]) for row in rows] == [("1", "5"), ("1", "6"),
+                                                      ("2", "5"), ("2", "7")]
+
     def test_unknown_axis_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("sweep", "--config", "standard", "--axis", "nope", "--values", "1")
@@ -283,6 +315,31 @@ class TestVerifyCommand:
         assert run_cli("verify", "--events", str(events_path),
                        "--snapshot", str(snap_path), "--graph-mode") == 3
 
+    def test_unknown_op_kind_in_a_recorded_run_exits_3(self, tmp_path, capsys):
+        events = tmp_path / "events.tsv"
+        snap = tmp_path / "final.snap"
+        assert run_cli(
+            "run", "--config", "standard", "--in-process", "2",
+            "--scheme", "glock", "--seed", "9",
+            "--override", "clients=2", "--override", "tasks_per_client=2",
+            "--override", "op_delay_ms=0", "--override", "buckets=8",
+            "--override", "user_population=8",
+            "--record", str(events), "--snapshot-out", str(snap),
+            "--out", str(tmp_path / "r.csv"),
+        ) == 0
+        lines = events.read_text().splitlines(keepends=True)
+        lineno = next(i for i, line in enumerate(lines, start=1)
+                      if '"kind":"append"' in line)
+        lines[lineno - 1] = lines[lineno - 1].replace('"kind":"append"', '"kind":"apend"')
+        events.write_text("".join(lines))
+        capsys.readouterr()
+        for mode in ([], ["--graph-mode"]):
+            assert run_cli("verify", "--events", str(events), "--snapshot", str(snap),
+                           *mode) == 3
+            err = capsys.readouterr().err
+            assert f"event log line {lineno}: unknown op kind 'apend'" in err
+            assert "Traceback" not in err
+
     def test_oversized_history_refused_without_graph_mode(self, tmp_path):
         from helenos.metrics import ClientEnd, ClientStart, Commit, TxnStart
 
@@ -300,6 +357,44 @@ class TestVerifyCommand:
                        "--snapshot", str(snap_path)) == 1
         assert run_cli("verify", "--events", str(events_path),
                        "--snapshot", str(snap_path), "--graph-mode") == 0
+
+
+class TestRepetitionSeeds:
+    @pytest.mark.parametrize("clients, step", [(1, 1), (2, 2), (3, 4), (4, 4), (32, 32),
+                                               (33, 64)])
+    def test_spaced_by_a_power_of_two_at_least_clients(self, clients, step):
+        cfg = replace(load_scenario("standard"), clients=clients, seed=42)
+        assert repetition_seeds(cfg, 1) == [42]
+        assert repetition_seeds(cfg, 3) == [42, 42 + step, 42 + 2 * step]
+
+    def test_repetitions_are_distinct_workloads(self):
+        cfg = replace(load_scenario("standard"), scheme=Scheme.GLOCK, nodes=2, clients=4,
+                      tasks_per_client=3, op_delay_ms=0, buckets=8, seed=8)
+
+        def client_streams(seed: int) -> Counter:
+            """The multiset of per-client task streams: each client's
+            transaction kinds and storage ops, in order."""
+            streams: dict[int, list] = {}
+            for ev in run_in_process(replace(cfg, seed=seed)).events:
+                if isinstance(ev, TxnStart):
+                    streams.setdefault(ev.client_id, []).append(ev.kind)
+                elif isinstance(ev, BucketOp):
+                    streams.setdefault(ev.client_id, []).append((ev.kind, ev.key))
+            return Counter(tuple(stream) for stream in streams.values())
+
+        seeds = repetition_seeds(cfg, 3)
+        assert seeds[0] == cfg.seed
+        runs = [client_streams(seed) for seed in seeds]
+        assert all(runs[i] != runs[j] for i in range(3) for j in range(i + 1, 3))
+        # The step this replaces: seed + 1 hands the same streams to other clients.
+        assert client_streams(cfg.seed + 1) == runs[0]
+
+
+def test_python_dash_m_runs_the_cli():
+    done = subprocess.run([sys.executable, "-m", "helenos", "scenarios"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == bundled_scenarios()
 
 
 def free_port() -> int:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helenos.config import load_scenario
 from helenos.driver import run_in_process
@@ -33,7 +35,7 @@ from helenos.model import (
     seqno_key,
     term_key,
 )
-from helenos.wire import Scheme
+from helenos.wire import SPEC_BY_KIND, Scheme
 
 S = 1_000_000_000  # ns per second
 BUCKET = BucketId(TableId.SEQNO, 3)
@@ -249,3 +251,137 @@ class TestEventLogCodec:
         sink.client_end(4, 0)
         kinds = [type(e).__name__ for e in sink.events()]
         assert kinds == ["ClientStart", "TxnStart", "Commit", "ClientEnd"]
+
+
+class TestEventRecords:
+    def test_equal_fields_of_another_kind_are_not_equal(self):
+        assert Commit(1, 2, 3, 4) != RetryStart(1, 2, 3, 4)
+        assert ClientStart(1, 2) != ClientEnd(1, 2)
+        assert Commit(1, 2, 3, 4) == Commit(1, 2, 3, 4)
+
+
+# One good row of each kind; each refused case below edits one of them.
+GOOD_BUCKET_OP = ('7\tbucket_op\t1\t0\t1\tTERM:5\t{"kind":"remove","i":4,"key":"TERM:2,4",'
+                  '"value":{"i":[2,1]},"seq":14}')
+GOOD_COMMIT = "11\tcommit\t1\t0\t2\t-\t-"
+
+
+def _edit(row: str, old: str, new: str) -> str:
+    assert old in row
+    return row.replace(old, new, 1)
+
+
+REFUSED_ROWS = {
+    "unknown op kind": (_edit(GOOD_BUCKET_OP, '"remove"', '"apend"'), "unknown op kind 'apend'"),
+    "bucket names no table": (_edit(GOOD_BUCKET_OP, "TERM:5", "TRM:5"), "bad bucket 'TRM:5'"),
+    "key names no table": (_edit(GOOD_BUCKET_OP, '"TERM:2,4"', '"TRM:2,4"'),
+                           "bad key 'TRM:2,4'"),
+    "key with too few fields": (_edit(GOOD_BUCKET_OP, '"TERM:2,4"', '"TERM:2"'),
+                                "bad key 'TERM:2'"),
+    "key field not canonical": (_edit(GOOD_BUCKET_OP, '"TERM:2,4"', '"TERM:02,4"'),
+                                "bad integer '02'"),
+    "spaces in the op column": (_edit(GOOD_BUCKET_OP, '"i":4,', '"i": 4,'),
+                                "op column is not what --record writes"),
+    "op fields reordered": (_edit(GOOD_BUCKET_OP, '"i":4,"key":"TERM:2,4"',
+                                  '"key":"TERM:2,4","i":4'),
+                            "op column is not what --record writes"),
+    "op index not canonical": (_edit(GOOD_BUCKET_OP, '"i":4,', '"i":04,'),
+                               "bad integer '04'"),
+    "value not canonical": (_edit(GOOD_BUCKET_OP, '{"i":[2,1]}', '{"i":[2, 1]}'),
+                            "bad value"),
+    "value not json": (_edit(GOOD_BUCKET_OP, '{"i":[2,1]}', '{"i":[2,1]'), "Expecting"),
+    "value of the wrong shape": (_edit(GOOD_BUCKET_OP, '{"i":[2,1]}', '{"i":[2,1,0]}'),
+                                 "argument"),
+    "txn id does not parse": (_edit(GOOD_BUCKET_OP, "bucket_op\t1\t", "bucket_op\tx\t"),
+                              "invalid literal"),
+    "attempt does not parse": (_edit(GOOD_COMMIT, "\t2\t", "\t-\t"), "invalid literal"),
+    "time does not parse": (_edit(GOOD_COMMIT, "11", "1.5"), "invalid literal"),
+    "unknown row kind": (_edit(GOOD_COMMIT, "commit", "comit"), "unknown kind 'comit'"),
+}
+
+
+class TestEventLogReader:
+    def test_good_rows_read(self):
+        assert read_event_log([GOOD_BUCKET_OP, GOOD_COMMIT]) == [
+            BucketOp(7, 1, 0, 1, BucketId(TableId.TERM, 5), 4, "remove", term_key(2, 4),
+                     MsgId(2, 1), 14),
+            Commit(11, 1, 0, 2),
+        ]
+
+    @pytest.mark.parametrize("row, text", REFUSED_ROWS.values(), ids=REFUSED_ROWS)
+    def test_unreadable_row_refused_with_its_line(self, row, text):
+        lines = [GOOD_COMMIT + "\n", "\n", row + "\n", GOOD_BUCKET_OP + "\n"]
+        with pytest.raises(VerificationError, match="^event log line 3: ") as exc:
+            read_event_log(lines)
+        assert text in str(exc.value)
+
+    def test_equal_value_texts_share_one_value(self):
+        a, b = read_event_log([GOOD_BUCKET_OP, _edit(GOOD_BUCKET_OP, '"seq":14', '"seq":15')])
+        assert a.value is b.value
+
+    def test_list_values_are_not_shared(self):
+        # The writer emits no list; one it is given is written as JSON, and each
+        # row reading it back gets its own list.
+        ops = [BucketOp(1, 1, 0, 1, BUCKET, i, "read", seqno_key(1), [1, 2], i)
+               for i in (1, 2)]
+        buf = io.StringIO()
+        write_event_log(ops, buf)
+        a, b = read_event_log(io.StringIO(buf.getvalue()))
+        assert a == ops[0] and b == ops[1]
+        assert a.value is not b.value
+
+
+def _tagged(value: object) -> object:
+    """The JSON structure README gives for a recorded value."""
+    if isinstance(value, Message):
+        return {"m": [[value.id.recipient, value.id.seq], value.sender, value.recipient,
+                      list(value.content), value.timestamp]}
+    if isinstance(value, MsgId):
+        return {"i": list(value)}
+    if isinstance(value, SeqPair):
+        return {"s": list(value)}
+    if isinstance(value, tuple):
+        return {"l": [_tagged(v) for v in value]}
+    return value
+
+
+U64 = st.integers(0, 2**64 - 1)
+SMALL = st.integers(0, 2**31)
+MSGIDS = st.builds(MsgId, U64, U64)
+MESSAGES = st.builds(Message, MSGIDS, U64, U64, st.lists(U64, max_size=12).map(tuple), U64)
+VALUES = st.recursive(
+    st.none() | st.integers(-2**70, 2**70) | MSGIDS | st.builds(SeqPair, U64, U64) | MESSAGES,
+    lambda inner: st.lists(inner, max_size=4).map(tuple),
+    max_leaves=12,
+)
+KEYS = st.one_of(
+    st.builds(term_key, U64, U64), st.builds(inter_key, U64, U64),
+    st.builds(message_key, U64), st.builds(seqno_key, U64),
+)
+BUCKETS = st.builds(BucketId, st.sampled_from(list(TableId)), st.integers(0, 2**32 - 1))
+EVENTS = st.one_of(
+    st.builds(ClientStart, U64, SMALL),
+    st.builds(ClientEnd, U64, SMALL),
+    st.builds(TxnStart, U64, SMALL, SMALL, st.sampled_from(["send_msg", "get_messages", "t"])),
+    st.builds(RetryStart, U64, SMALL, SMALL, SMALL),
+    st.builds(Commit, U64, SMALL, SMALL, SMALL),
+    st.builds(BucketOp, U64, SMALL, SMALL, SMALL, BUCKETS, SMALL,
+              st.sampled_from(sorted(SPEC_BY_KIND)), KEYS, VALUES, SMALL),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(EVENTS, max_size=25))
+def test_random_event_streams_round_trip(events):
+    buf = io.StringIO()
+    write_event_log(events, buf)
+    text = buf.getvalue()
+    assert read_event_log(io.StringIO(text)) == events
+    rows = text.splitlines()
+    assert len(rows) == len(events)
+    for ev, row in zip(events, rows):
+        if isinstance(ev, BucketOp):
+            desc = {"kind": ev.kind, "i": ev.op_index,
+                    "key": f"{ev.key.table.name}:" + ",".join(map(str, ev.key.parts)),
+                    "value": _tagged(ev.value), "seq": ev.bucket_seq}
+            assert row.split("\t")[6] == json.dumps(desc, separators=(",", ":"))

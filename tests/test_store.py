@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import sys
 import threading
@@ -707,3 +708,85 @@ class TestSnapshot:
         entries = unpack_snapshot(merged)
         assert len(entries) == 2
         assert [k for k, _ in entries] == sorted(k for k, _ in entries)
+
+
+class _SliceCounter(bytes):
+    """A dump that adds up the length of every slice taken of it."""
+
+    sliced = 0
+
+    def __getitem__(self, index):
+        part = super().__getitem__(index)
+        if isinstance(index, slice):
+            type(self).sliced += len(part)
+        return part
+
+
+def _words_message(words: int, seed: int) -> Message:
+    content = tuple((seed * 0x9E3779B97F4A7C15 + i * 0xBF58476D1CE4E5B9) % 2**64
+                    for i in range(words))
+    return Message(MsgId(seed, seed + 1), seed + 2, seed, content, seed + 3)
+
+
+def _node_dump(node: int) -> bytes:
+    """Three kinds of entry per user; message lists hold 0-, 1- and 300-word messages."""
+    entries = []
+    for user in range(node, 40, 3):
+        messages = tuple(_words_message(n, user) for n in (0, 1, 300)[: user % 4])
+        entries.append((message_key(user).encode(),
+                        wire.encode_entry(TableId.MESSAGE, messages)))
+        entries.append((seqno_key(user).encode(),
+                        wire.encode_entry(TableId.SEQNO, SeqPair(user, user // 2))))
+        entries.append((term_key(user, 3).encode(),
+                        wire.encode_entry(TableId.TERM, tuple(MsgId(user, s)
+                                                              for s in range(user % 3)))))
+    entries.sort()
+    return pack_snapshot(entries)
+
+
+class TestSnapshotCodec:
+    def test_unpack_walks_the_dump_once(self):
+        entries = sorted(
+            (term_key(user, kw).encode(),
+             wire.encode_entry(TableId.TERM, tuple(MsgId(user, s) for s in range(kw % 3))))
+            for user in range(50) for kw in range(40)
+        )
+        dump = pack_snapshot(entries)
+        _SliceCounter.sliced = 0
+        assert unpack_snapshot(_SliceCounter(dump)) == entries
+        assert len(entries) == 2000
+        # Slicing the tail of the dump for every entry is quadratic.
+        assert _SliceCounter.sliced <= 2 * len(dump)
+
+    @pytest.mark.parametrize("dump, text", [
+        (b"HELSNAP2" + _u64(0), "bad snapshot header"),
+        (b"HELSNAP1" + _u64(1) + seqno_key(1).encode() + b"\x07", "unknown entry kind 7"),
+        (b"HELSNAP1" + _u64(1) + term_key(1, 2).encode() + b"\x00\x00\x00",
+         "truncated entry count"),
+        (b"HELSNAP1" + _u64(1) + term_key(1, 2).encode()
+         + wire.encode_entry(TableId.TERM, (MsgId(1, 1), MsgId(1, 2)))[:-1], "truncated MsgId"),
+        (b"HELSNAP1" + _u64(1) + message_key(1).encode()
+         + wire.encode_entry(TableId.MESSAGE, (_words_message(3, 1),))[:-9],
+         "truncated message content"),
+        (b"HELSNAP1" + _u64(1) + seqno_key(1).encode()
+         + wire.encode_entry(TableId.SEQNO, SeqPair(1, 0))[:-1], "truncated sequence pair"),
+        (b"HELSNAP1" + _u64(1) + seqno_key(1).encode()[:-1], "truncated key encoding"),
+        (b"HELSNAP1" + _u64(2) + seqno_key(1).encode()
+         + wire.encode_entry(TableId.SEQNO, SeqPair(1, 0)), "empty key encoding"),
+        (b"HELSNAP1" + _u64(0) + b"\x00", "trailing bytes in snapshot"),
+    ], ids=["magic", "entry kind", "count", "item", "message content", "pair", "key",
+            "missing entry", "trailing"])
+    def test_malformed_dump_refused(self, dump, text):
+        with pytest.raises(ProtocolError, match=f"^{text}$"):
+            unpack_snapshot(dump)
+
+    # sha256 of the merge of three ``_node_dump``s, recorded from the unpack
+    # that decoded every entry to find its length.
+    MERGED_SHA256 = "32874fc1bc7ce9a92c21c576b10a16bbc4f230a06d62d8c7c42abeef888985fb"
+
+    def test_merge_of_message_lists_is_pinned(self):
+        merged = merge_snapshots([_node_dump(node) for node in range(3)])
+        assert len(merged) == 29800
+        assert hashlib.sha256(merged).hexdigest() == self.MERGED_SHA256
+        assert [k for k, _ in unpack_snapshot(merged)] == sorted(
+            k for node in range(3) for k, _ in unpack_snapshot(_node_dump(node)))

@@ -251,6 +251,16 @@ class TestConflictGraph:
         assert verdict.ok is not spec.writes
         assert verdict.cycle == ([1, 2] if spec.writes else None)
 
+    def test_unknown_op_kind_refused(self):
+        # With "append" this history has the cycle 1 -> 2; a misspelled kind
+        # must not be taken for a read and give a false "serializable".
+        history = History([TxnEffect(t, "t", t, []) for t in (1, 2)], {
+            BX: [(1, 1, "apend"), (2, 2, "read")],
+            BY: [(1, 2, "write_seq"), (2, 1, "read")],
+        })
+        with pytest.raises(VerificationError, match="unknown effect kind 'apend'"):
+            conflict_graph_serializable(history)
+
     def test_read_read_is_not_a_conflict(self):
         t1 = TxnEffect(1, "r", 10, [effect_op(1, BX, "read", KX, SeqPair(0, 0), 1)])
         t2 = TxnEffect(2, "r", 11, [effect_op(1, BX, "read", KX, SeqPair(0, 0), 2)])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -133,3 +134,88 @@ def test_reply_with_a_request_opcode_rejected(opcode):
     reply = wire.frame(wire.encode_header(6, None, opcode))
     with pytest.raises(ProtocolError, match=f"unexpected reply opcode {opcode:#x}"):
         wire.decode_reply(reply)
+
+
+def spread_message(words: int, seed: int) -> Message:
+    """A message whose words use every bit of a u64."""
+    content = tuple((seed * 0x9E3779B97F4A7C15 + i * 0xBF58476D1CE4E5B9) % 2**64
+                    for i in range(words))
+    return Message(MsgId(seed, seed + 1), seed + 2, seed, content, seed + 3)
+
+
+class TestMessageCodec:
+    # id (r, s), sender, recipient, word count (u16), words, timestamp; recorded
+    # from the int.to_bytes codec this struct codec replaced.
+    GOLDEN = {
+        0: "0000000000000005000000000000000600000000000000070000000000000005"
+           "00000000000000000008",
+        8: "0000000000000005000000000000000600000000000000070000000000000005"
+           "00081715609f7c746c69d66da80c9959522295c5ef79b63e37db551e36e6d323"
+           "1d9414767e53f008034dd3cec5c10cece90693270d2e29d1cebf527f549b46b6"
+           "b4780000000000000008",
+    }
+    GOLDEN_300_SHA256 = "709a3b0c4faeb05d763335d2641b9e869e6126991e0e1f59be66c7e603ad370d"
+
+    @pytest.mark.parametrize("words", [0, 8])
+    def test_golden_bytes(self, words):
+        msg = spread_message(words, 5)
+        data = wire.encode_message(msg)
+        assert data.hex() == self.GOLDEN[words]
+        assert wire.decode_message(data) == (msg, len(data))
+
+    def test_golden_bytes_300_words(self):
+        msg = spread_message(300, 5)
+        data = wire.encode_message(msg)
+        assert len(data) == 34 + 8 * 300 + 8
+        assert hashlib.sha256(data).hexdigest() == self.GOLDEN_300_SHA256
+        assert wire.decode_message(b"xx" + data + b"yy", 2) == (msg, 2 + len(data))
+
+    @pytest.mark.parametrize("cut, text", [
+        (0, "truncated MsgId"), (15, "truncated MsgId"),
+        (16, "truncated message"), (33, "truncated message"),
+        (34, "truncated message content"), (34 + 8 * 3 + 7, "truncated message content"),
+    ])
+    def test_truncation_texts(self, cut, text):
+        data = wire.encode_message(spread_message(3, 9))
+        with pytest.raises(ProtocolError, match=f"^{text}$"):
+            wire.decode_message(data[:cut])
+
+    @pytest.mark.parametrize("word", [2**64, 2**70, -1], ids=["2^64", "2^70", "negative"])
+    def test_word_outside_u64_raises_before_any_frame(self, word):
+        msg = Message(MsgId(3, 1), 1, 3, (4, word), 0)
+        with pytest.raises(OverflowError):
+            wire.encode_message(msg)
+        cc = CcBlock(Scheme.NONE, 1, 1, 1)
+        with pytest.raises(OverflowError):
+            wire.storage_request(1, BucketId(TableId.MESSAGE, 0),
+                                 Append(message_key(3), msg), cc)
+
+
+ENTRIES = [
+    (TableId.SEQNO, SeqPair(7, 3)),
+    (TableId.TERM, ()),
+    (TableId.INTER, tuple(msgids(5, 4))),
+    (TableId.MESSAGE, ()),
+    (TableId.MESSAGE, (spread_message(0, 1), spread_message(1, 2), spread_message(300, 3))),
+]
+
+
+@pytest.mark.parametrize("table, entry", ENTRIES,
+                         ids=["seqpair", "empty ids", "ids", "no messages", "messages"])
+def test_entry_end_is_where_decode_entry_ends(table, entry):
+    data = b"ab" + wire.encode_entry(table, entry) + b"cd"
+    assert wire.entry_end(data, 2) == wire.decode_entry(data, 2)[1] == len(data) - 2
+
+
+@pytest.mark.parametrize("table, entry", ENTRIES,
+                         ids=["seqpair", "empty ids", "ids", "no messages", "messages"])
+def test_entry_end_refuses_what_decode_entry_refuses(table, entry):
+    data = wire.encode_entry(table, entry)
+    for cut in range(len(data)):
+        with pytest.raises(ProtocolError) as decoded:
+            wire.decode_entry(data[:cut])
+        with pytest.raises(ProtocolError) as walked:
+            wire.entry_end(data[:cut])
+        assert str(walked.value) == str(decoded.value), cut
+    with pytest.raises(ProtocolError, match="^unknown entry kind 9$"):
+        wire.entry_end(b"\x09" + data[1:])
