@@ -39,7 +39,6 @@ from .wire import (
     FLAG_RELEASE_AFTER,
     OP_SPECS,
     Append,
-    CcBlock,
     IncrSeq,
     Op,
     Read,
@@ -209,15 +208,9 @@ class TxnHandle:
                       flags: int = 0, private_version: int = 0):
         """Send one storage op; returns (result, version, bucket_seq)."""
         ctx = self.ctx
-        cc = CcBlock(
-            scheme=self.scheme,
-            txn_id=self.descriptor.txn_id,
-            attempt=self.attempt,
-            op_index=op_index,
-            flags=flags,
-            delay_ms=ctx.delay_ms,
-            private_version=private_version,
-        )
+        # The CcBlock fields, in wire order.
+        cc = (self.scheme, self.descriptor.txn_id, self.attempt, op_index, flags,
+              ctx.delay_ms, private_version)
         request_id = ctx.next_request_id()
         node = ctx.layout.owner_of(bucket)
         body = ctx.call(node, storage_request(request_id, bucket, op, cc), request_id)

@@ -405,13 +405,22 @@ def write_event_log(events: Iterable[Event], out: io.TextIOBase) -> None:
             write(f"{ev.time_ns}\tclient_end\t-\t{ev.client_id}\t-\t-\t-\n")
 
 
+def _placeholders(*columns: str) -> None:
+    """Refuse a row whose placeholder columns do not read ``-``, as written."""
+    for text in columns:
+        if text != "-":
+            raise ValueError(f"placeholder column reads {text!r}, not '-'")
+
+
 def read_event_log(lines: Iterable[str]) -> list[Event]:
     """Parse the rows ``write_event_log`` writes, and nothing else: a row it
     cannot read raises VerificationError naming its line.
 
     Each distinct integer, bucket, key and value text is parsed once, and
     rows with the same text share its result: every value the writer emits
-    is immutable.
+    is immutable. The time column, distinct on every row, is parsed
+    directly; a placeholder column must read ``-``, and a ``txn_start``
+    row's attempt ``1``, as the writer writes them.
     """
     ints = _ParseOnce(_int_from_str)
     buckets = _ParseOnce(_bucket_from_str)
@@ -429,6 +438,7 @@ def read_event_log(lines: Iterable[str]) -> list[Event]:
             raise VerificationError(f"event log line {lineno}: expected 7 columns")
         time_ns, kind, txn, client, attempt, bucket, op = cols
         try:
+            time_ns = _int_from_str(time_ns)
             if kind == "bucket_op":
                 m = match_op(op)
                 if m is None:
@@ -437,19 +447,26 @@ def read_event_log(lines: Iterable[str]) -> list[Event]:
                 spec = SPEC_BY_KIND.get(op_kind)
                 if spec is None:
                     raise ValueError(f"unknown op kind {op_kind!r}")
-                append(BucketOp(int(time_ns), ints[txn], ints[client], ints[attempt],
+                append(BucketOp(time_ns, ints[txn], ints[client], ints[attempt],
                                 buckets[bucket], ints[op_index], spec.kind, keys[key],
                                 values[value], ints[seq]))
             elif kind == "txn_start":
-                append(TxnStart(int(time_ns), ints[txn], ints[client], op))
+                if attempt != "1":
+                    raise ValueError(f"txn_start attempt reads {attempt!r}, not '1'")
+                _placeholders(bucket)
+                append(TxnStart(time_ns, ints[txn], ints[client], op))
             elif kind == "commit":
-                append(Commit(int(time_ns), ints[txn], ints[client], ints[attempt]))
+                _placeholders(bucket, op)
+                append(Commit(time_ns, ints[txn], ints[client], ints[attempt]))
             elif kind == "retry_start":
-                append(RetryStart(int(time_ns), ints[txn], ints[client], ints[attempt]))
+                _placeholders(bucket, op)
+                append(RetryStart(time_ns, ints[txn], ints[client], ints[attempt]))
             elif kind == "client_start":
-                append(ClientStart(int(time_ns), ints[client]))
+                _placeholders(txn, attempt, bucket, op)
+                append(ClientStart(time_ns, ints[client]))
             elif kind == "client_end":
-                append(ClientEnd(int(time_ns), ints[client]))
+                _placeholders(txn, attempt, bucket, op)
+                append(ClientEnd(time_ns, ints[client]))
             else:
                 raise ValueError(f"unknown kind {kind!r}")
         except (ValueError, TypeError) as exc:  # a column that does not parse

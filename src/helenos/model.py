@@ -90,21 +90,23 @@ def seqno_key(user: UserId) -> TableKey:
     return TableKey(TableId.SEQNO, (user,))
 
 
-_KEY_FIELDS = {1: struct.Struct(">Q"), 2: struct.Struct(">QQ")}  # by arity
+# A key's fields after its tag byte, by tag byte.
+_KEY_FIELDS_BY_TAG = {table.value: struct.Struct(f">{arity}Q")
+                      for table, arity in KEY_ARITY.items()}
 
 
-def decode_key(data: bytes) -> tuple[TableKey, int]:
-    """Decode a canonical key prefix of ``data``; returns (key, bytes consumed)."""
-    if not data:
+def decode_key(data: bytes, off: int = 0) -> tuple[TableKey, int]:
+    """Decode the canonical key encoded at ``off``; returns (key, where it ends)."""
+    if off >= len(data):
         raise ProtocolError("empty key encoding")
-    table = TABLE_BY_TAG.get(data[0])
+    table = TABLE_BY_TAG.get(data[off])
     if table is None:
-        raise ProtocolError(f"unknown table tag {data[0]}")
-    fields = _KEY_FIELDS[KEY_ARITY[table]]
-    need = 1 + fields.size
-    if len(data) < need:
+        raise ProtocolError(f"unknown table tag {data[off]}")
+    fields = _KEY_FIELDS_BY_TAG[table]
+    end = off + 1 + fields.size
+    if len(data) < end:
         raise ProtocolError("truncated key encoding")
-    return TableKey(table, fields.unpack_from(data, 1)), need
+    return TableKey(table, fields.unpack_from(data, off + 1)), end
 
 
 # Bytes of a key encoding, tag included, by tag byte.
@@ -163,11 +165,31 @@ class BucketId(NamedTuple):
         return bytes([self.table]) + self.index.to_bytes(4, "big")
 
 
+# FNV64_PRIME ** k mod 2**64: hashing k zero bytes, which leave the xor as it
+# is, multiplies by this.
+_PRIME_POWERS = tuple(pow(FNV64_PRIME, k, 1 << 64) for k in range(9))
+
+
 def bucket_of(key: TableKey, buckets_per_table: int) -> BucketId:
-    """Map a key to its bucket by hashing the canonical encoding."""
+    """Map a key to its bucket by hashing the canonical encoding.
+
+    The same bucket as ``fnv1a_64(key.encode()) % buckets_per_table``: each
+    field's leading zero bytes are hashed with one multiply, and only its
+    significant bytes one at a time. A field outside u64 raises the
+    OverflowError that ``key.encode()`` raises.
+    """
     if buckets_per_table < 1:
         raise ConfigError(f"buckets per table must be >= 1, got {buckets_per_table}")
-    return BucketId(key.table, fnv1a_64(key.encode()) % buckets_per_table)
+    table = key.table
+    h = ((FNV64_OFFSET ^ table) * FNV64_PRIME) & _MASK64
+    for part in key.parts:
+        n = (part.bit_length() + 7) >> 3
+        if n > 8 or part < 0:
+            part.to_bytes(8, "big")  # raises, as key.encode() does
+        h = (h * _PRIME_POWERS[8 - n]) & _MASK64
+        for byte in part.to_bytes(n, "big"):
+            h = ((h ^ byte) * FNV64_PRIME) & _MASK64
+    return BucketId(table, h % buckets_per_table)
 
 
 def mix64(x: int) -> int:

@@ -8,17 +8,21 @@ version turns behind a begin latch, and commit locks with version validation.
 Every wait on a node is a ticket turn (``Turns``). A lock is a turn held by
 an owner token (``FifoLock``), and a pesv private version is a ticket on its
 bucket's version turns. Each lock and each bucket's turns has its own
-condition; ``PerBucket`` maps create them on first use.
+lock, and a condition that only a waiter touches; ``PerBucket`` maps create
+them on first use.
 
 The frame handler is transport-agnostic: both the TCP listener and the
-in-process loopback feed it whole encoded frames. It looks each frame's
-opcode byte up once in one table, ``_SERVE``, which sends storage ops,
-scheme verbs and control frames each to one server; what a verb does to the
-node is its row in ``_VERBS``.
+in-process loopback feed it whole encoded frames. It checks a frame's length
+and header with one unpack and reads the rest at offsets. It looks each
+frame's opcode byte up once in one table, ``_SERVE``, which sends storage
+ops, scheme verbs and control frames each to one server; what a verb does to
+the node is its row in ``_VERBS``. A header's bucket is routed once per node
+and then looked up.
 """
 
 from __future__ import annotations
 
+import struct
 import threading
 import time
 from dataclasses import dataclass, field
@@ -26,8 +30,17 @@ from typing import Callable
 
 from . import wire
 from .errors import ProtocolError, RoutingError
-from .model import TABLE_BY_TAG, BucketId, Message, RingLayout, TableId, TableKey, key_end
-from .wire import Append, ErrCode, Op, Scheme, StorageOp, TableEntry
+from .model import (
+    OWNER_CACHE_LIMIT,
+    TABLE_BY_TAG,
+    BucketId,
+    Message,
+    RingLayout,
+    TableId,
+    TableKey,
+    key_end,
+)
+from .wire import HEAD_SIZE, Append, ErrCode, Op, Scheme, StorageOp, TableEntry
 
 SNAPSHOT_MAGIC = b"HELSNAP1"
 
@@ -49,41 +62,55 @@ class Turns:
     ticket released out of order cannot jump the queue. A ticket that is
     not waiting, one never taken or already released, is refused instead
     of waited for: its turn would never come.
+
+    Every method enters the plain lock directly. The condition on it is
+    built by the first waiter, and notified only while a waiter is counted,
+    so an uncontended turn never builds or touches it. The lock is not
+    re-entrant: no method calls another that takes it.
     """
 
-    __slots__ = ("_cond", "_taken", "_released")
+    __slots__ = ("_lock", "_cond", "_waiters", "_taken", "_released")
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._cond: threading.Condition | None = None
+        self._waiters = 0
         self._taken = 0
         self._released = 0
 
     def take(self) -> int:
-        with self._cond:
+        with self._lock:
             self._taken += 1
             return self._taken
 
-    def _await(self, ticket: int) -> None:  # the caller holds the condition
+    def _await(self, ticket: int) -> None:  # the caller holds the lock
         while True:
             if not self._released < ticket <= self._taken:
                 raise ProtocolError(f"ticket {ticket} is not waiting: "
                                     f"released {self._released}, taken {self._taken}")
             if self._released == ticket - 1:
                 return
-            self._cond.wait()
+            if self._cond is None:
+                self._cond = threading.Condition(self._lock)
+            self._waiters += 1
+            try:
+                self._cond.wait()
+            finally:
+                self._waiters -= 1
 
     def await_turn(self, ticket: int) -> None:
-        with self._cond:
+        with self._lock:
             self._await(ticket)
 
     def release(self, ticket: int) -> None:
-        with self._cond:
+        with self._lock:
             self._await(ticket)
             self._released = ticket
-            self._cond.notify_all()
+            if self._waiters:
+                self._cond.notify_all()
 
     def idle(self) -> bool:
-        with self._cond:
+        with self._lock:
             return self._released == self._taken
 
 
@@ -97,21 +124,22 @@ class FifoLock(Turns):
         self._owner: int | None = None
 
     def acquire(self, token: int) -> None:
-        with self._cond:
+        with self._lock:
             self._taken += 1
             self._await(self._taken)
             self._owner = token
 
     def release(self, token: int) -> None:  # by owner token, not by ticket
-        with self._cond:
+        with self._lock:
             if self._owner != token:
                 raise ProtocolError(f"lock not held by {token}")
             self._owner = None
             self._released += 1
-            self._cond.notify_all()
+            if self._waiters:
+                self._cond.notify_all()
 
     def owner(self) -> int | None:
-        with self._cond:
+        with self._lock:
             return self._owner
 
 
@@ -283,18 +311,14 @@ class Node:
         self.occ = PerBucket(FifoLock)
         self.stopping = threading.Event()
         self._sleep = sleep
-        self._active = 0
+        self._active = 0  # storage and verb frames being served
         self._active_guard = threading.Lock()
+        # (tag, index) of a header -> the owned bucket it names. A refused
+        # header is not stored; past OWNER_CACHE_LIMIT headers, a bucket is
+        # routed without being stored.
+        self._owned: dict[tuple[int, int], BucketId] = {}
 
     # -- bookkeeping ---------------------------------------------------
-
-    def _enter(self) -> None:
-        with self._active_guard:
-            self._active += 1
-
-    def _exit(self) -> None:
-        with self._active_guard:
-            self._active -= 1
 
     def quiescent(self) -> bool:
         with self._active_guard:
@@ -308,15 +332,14 @@ class Node:
 
     def handle_frame(self, data: bytes) -> bytes:
         try:
-            payload = wire.split_frame(data)
-            request_id, tag, index, opcode, rest = wire.decode_header(payload)
+            _n, request_id, tag, index, opcode = wire.open_frame(data)
         except ProtocolError as exc:
             return wire.err_reply(0, ErrCode.MALFORMED, str(exc))
         serve = _SERVE.get(opcode)
         if serve is None:
             return wire.err_reply(request_id, ErrCode.MALFORMED, f"unknown opcode {opcode:#x}")
         try:
-            return serve(self, request_id, opcode, tag, index, rest)
+            return serve(self, request_id, opcode, tag, index, data)
         except RoutingError as exc:
             return wire.err_reply(request_id, ErrCode.ROUTING, str(exc))
         except QuiesceRefused as exc:
@@ -326,23 +349,28 @@ class Node:
         except Exception as exc:  # never crash the serving loop
             return wire.err_reply(request_id, ErrCode.PROTOCOL, f"internal: {exc!r}")
 
-    def _bucket_from_header(self, tag: int, index: int) -> BucketId:
+    def _route(self, tag: int, index: int) -> BucketId:
+        """The bucket a header names, refused unless this node owns it; called
+        for a header not yet in ``_owned``."""
         table = TABLE_BY_TAG.get(tag)
         if table is None:
             raise ProtocolError(f"unknown table tag {tag}")
         bucket = BucketId(table, index)
         if self.layout.owner_of(bucket) != self.node_id:
             raise RoutingError(f"bucket {table.name}:{index} is not owned by {self.node_id}")
+        if len(self._owned) < OWNER_CACHE_LIMIT:
+            self._owned[tag, index] = bucket
         return bucket
 
     def _serve_storage(self, request_id: int, opcode: int, tag: int, index: int,
-                       rest: bytes) -> bytes:
-        self._enter()
+                       data: bytes) -> bytes:
+        with self._active_guard:
+            self._active += 1
         try:
-            bucket = self._bucket_from_header(tag, index)
+            bucket = self._owned.get((tag, index)) or self._route(tag, index)
             try:
-                cc, off = wire.decode_cc(rest)
-                op = wire.decode_storage_body(opcode, bucket.table, rest[off:])
+                cc, off = wire.decode_cc(data, HEAD_SIZE)
+                op = wire.decode_storage_body(opcode, bucket.table, data, off)
             except ProtocolError as exc:
                 return wire.err_reply(request_id, ErrCode.MALFORMED, str(exc))
             spec = wire.SPEC_BY_OPCODE[opcode]
@@ -365,29 +393,38 @@ class Node:
                 self.suprema.release(bucket, cc.private_version)
 
             body = spec.encode_result(op.key.table, result)
-            return wire.ok_reply(request_id, wire.storage_ok_body(seq, version, body))
+            return wire.storage_ok_reply(request_id, seq, version, body)
         finally:
-            self._exit()
+            with self._active_guard:
+                self._active -= 1
 
     def _serve_verb(self, request_id: int, opcode: int, tag: int, index: int,
-                    rest: bytes) -> bytes:
-        self._enter()
+                    data: bytes) -> bytes:
+        with self._active_guard:
+            self._active += 1
         try:
-            if len(rest) < 8:
+            # txn id, then the argument if the frame holds one; bytes past
+            # it are ignored.
+            size = len(data) - HEAD_SIZE
+            if size >= 16:
+                txn, arg = _TXN_ARG.unpack_from(data, HEAD_SIZE)
+            elif size >= 8:
+                (txn,) = _TXN.unpack_from(data, HEAD_SIZE)
+                arg = None
+            else:
                 return wire.err_reply(request_id, ErrCode.MALFORMED, "truncated txn id")
-            txn = int.from_bytes(rest[:8], "big")
-            arg = int.from_bytes(rest[8:16], "big") if len(rest) >= 16 else None
             if opcode in _GLOBAL_VERBS:
                 if self.layout.coordinator != self.node_id:
                     raise RoutingError(f"global lock is not hosted on {self.node_id}")
                 bucket = None
             else:
-                bucket = self._bucket_from_header(tag, index)
+                bucket = self._owned.get((tag, index)) or self._route(tag, index)
                 if arg is None and opcode in _VERSION_VERBS:
                     return wire.err_reply(request_id, ErrCode.MALFORMED, "missing version")
             return wire.ok_reply(request_id, _VERBS[opcode](self, bucket, txn, arg) or b"")
         finally:
-            self._exit()
+            with self._active_guard:
+                self._active -= 1
 
     def _occ_validate(self, bucket: BucketId, txn: int, expected: int) -> bool:
         # Version is re-read after the owner check: a competing commit bumps
@@ -422,6 +459,7 @@ class Node:
 # Built once, at import. The per-frame path compares schemes with these
 # constants: reading a member off an Enum class is a slow attribute lookup.
 _PESV, _OCC, _FGL = Scheme.PESV, Scheme.OCC, Scheme.FGL
+_TXN, _TXN_ARG = struct.Struct(">Q"), struct.Struct(">QQ")  # a verb's body
 _GLOBAL_VERBS = frozenset({Op.GLOCK_ACQUIRE, Op.GLOCK_RELEASE})  # served by the coordinator
 _VERSION_VERBS = frozenset({Op.VER_RELEASE, Op.OCC_VALIDATE})  # refused without the argument
 

@@ -15,7 +15,9 @@ from typing import Protocol
 from .errors import ConfigError, ProtocolError, ServerError
 from .model import RingLayout
 from .store import Node
-from .wire import MAX_FRAME, ErrCode, Op, decode_err, decode_reply, err_reply
+from .wire import HEAD_SIZE, MAX_FRAME, ErrCode, Op, decode_err, err_reply, open_frame
+
+_OK, _ERR = Op.OK.value, Op.ERR.value
 
 
 class Transport(Protocol):
@@ -25,13 +27,20 @@ class Transport(Protocol):
 
 
 def unwrap_reply(expected_request_id: int, reply_frame: bytes) -> bytes:
-    """Check a reply frame and return its body; raises on error replies."""
-    request_id, opcode, body = decode_reply(reply_frame)
+    """Check a reply frame and return its body; raises on error replies.
+
+    The one place a client opens a reply: its length and header in one
+    unpack, then OK or ERR, then the request id.
+    """
+    _n, request_id, _tag, _index, opcode = open_frame(reply_frame)
+    if opcode != _OK and opcode != _ERR:
+        raise ProtocolError(f"unexpected reply opcode {opcode:#x}")
     if request_id != expected_request_id:
         raise ProtocolError(
             f"reply id {request_id} does not match request {expected_request_id}"
         )
-    if opcode is Op.ERR:
+    body = reply_frame[HEAD_SIZE:]
+    if opcode == _ERR:
         code, message = decode_err(body)
         raise ServerError(code, message)
     return body
@@ -62,13 +71,17 @@ def in_process_node_ids(count: int) -> list[str]:
 
 
 def read_exact(sock: socket.socket, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
+    """Read exactly ``n`` bytes into one buffer, so a frame of any size is
+    read in time linear in its size."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        k = sock.recv_into(view[got:])
+        if not k:
             raise ConnectionError("connection closed mid-frame")
-        buf += chunk
-    return buf
+        got += k
+    return bytes(buf)
 
 
 def read_frame_from(sock: socket.socket) -> bytes:

@@ -429,14 +429,34 @@ SPEC_BY_KIND: dict[str, OpSpec] = {spec.kind: spec for spec in OP_SPECS.values()
 
 # ---------------------------------------------------------------------------
 # Frame assembly
+#
+# The header layout is written once, as struct fields; every per-kind struct
+# below is derived from it, so that a frame's whole head is packed or
+# unpacked with one call and its body is read at offsets.
 
-_HEADER = struct.Struct(">QBIB")  # request id, bucket tag, bucket index, opcode
-_CC = struct.Struct(">BQHIBHQ")
+_HEADER_FIELDS = "QBIB"  # request id, bucket tag, bucket index, opcode
+_CC_FIELDS = "BQHIBHQ"  # scheme, txn id, attempt, op index, flags, delay, private version
+
+_HEADER = struct.Struct(">" + _HEADER_FIELDS)
+_CC = struct.Struct(">" + _CC_FIELDS)
+_FRAME_HEAD = struct.Struct(">I" + _HEADER_FIELDS)  # every frame: length, header
+_STORAGE_HEAD = struct.Struct(">I" + _HEADER_FIELDS + _CC_FIELDS)  # then key, argument
+_VERB = struct.Struct(">I" + _HEADER_FIELDS + "Q")  # txn id
+_VERB_ARG = struct.Struct(">I" + _HEADER_FIELDS + "QQ")  # txn id, argument
+_STORAGE_OK = struct.Struct(">I" + _HEADER_FIELDS + "QQ")  # bucket seq, version, then result
+
+HEAD_SIZE = _FRAME_HEAD.size  # where a frame's body starts
+_OK = Op.OK.value
+_tuple_new = tuple.__new__  # builds a named tuple without its Python-level __new__
+
+
+def _oversize(n: int) -> ProtocolError:
+    return ProtocolError(f"frame payload of {n} bytes exceeds limit")
 
 
 def frame(payload: bytes) -> bytes:
     if len(payload) > MAX_FRAME:
-        raise ProtocolError(f"frame payload of {len(payload)} bytes exceeds limit")
+        raise _oversize(len(payload))
     return _U32.pack(len(payload)) + payload
 
 
@@ -446,10 +466,27 @@ def split_frame(data: bytes) -> bytes:
         raise ProtocolError("truncated frame length")
     (n,) = _U32.unpack_from(data, 0)
     if n > MAX_FRAME:
-        raise ProtocolError(f"frame payload of {n} bytes exceeds limit")
+        raise _oversize(n)
     if len(data) != 4 + n:
         raise ProtocolError("frame length mismatch")
     return data[4:]
+
+
+def open_frame(data: bytes) -> tuple[int, int, int, int, int]:
+    """Check a whole frame's length prefix and header with one unpack; returns
+    (payload length, request_id, bucket_tag, bucket_index, opcode). The body
+    starts at ``HEAD_SIZE``. Refuses what ``split_frame`` and then
+    ``decode_header`` refuse, in that order and with the same texts."""
+    if len(data) < HEAD_SIZE:
+        split_frame(data)  # a frame too short for a header is checked for its length first
+        raise ProtocolError("truncated frame header")
+    head = _FRAME_HEAD.unpack_from(data)
+    n = head[0]
+    if n > MAX_FRAME:
+        raise _oversize(n)
+    if len(data) != 4 + n:
+        raise ProtocolError("frame length mismatch")
+    return head
 
 
 def encode_header(request_id: int, bucket: BucketId | None, opcode: Op) -> bytes:
@@ -477,17 +514,13 @@ def decode_cc(data: bytes, off: int = 0) -> tuple[CcBlock, int]:
     scheme_e = SCHEME_BY_CODE.get(scheme)
     if scheme_e is None:
         raise ProtocolError(f"unknown scheme {scheme}")
-    return CcBlock(scheme_e, txn, attempt, op_index, flags, delay, pv), off + _CC.size
+    return (_tuple_new(CcBlock, (scheme_e, txn, attempt, op_index, flags, delay, pv)),
+            off + _CC.size)
 
 
-def encode_storage_body(op: StorageOp) -> bytes:
-    encode_arg = OP_SPECS[type(op)].encode_arg
-    body = op.key.encode()
-    return body if encode_arg is None else body + encode_arg(op)
-
-
-def decode_storage_body(opcode: int, table: TableId, data: bytes) -> StorageOp:
-    key, off = decode_key(data)
+def decode_storage_body(opcode: int, table: TableId, data: bytes, off: int = 0) -> StorageOp:
+    """The storage op whose key starts at ``off`` and runs to the end of ``data``."""
+    key, off = decode_key(data, off)
     if key.table is not table:
         raise ProtocolError("key table does not match bucket table")
     spec = SPEC_BY_OPCODE.get(opcode)
@@ -503,10 +536,24 @@ def decode_storage_body(opcode: int, table: TableId, data: bytes) -> StorageOp:
     return op
 
 
-def storage_request(request_id: int, bucket: BucketId, op: StorageOp, cc: CcBlock) -> bytes:
-    payload = encode_header(request_id, bucket, OP_SPECS[type(op)].opcode) + encode_cc(cc)
-    payload += encode_storage_body(op)
-    return frame(payload)
+_STORAGE_PAYLOAD = _STORAGE_HEAD.size - 4
+
+
+def storage_request(request_id: int, bucket: BucketId, op: StorageOp, cc: tuple) -> bytes:
+    """``cc`` is the concurrency block's seven fields in wire order, a
+    ``CcBlock`` or a plain tuple. The key and argument are encoded first, so
+    an op that cannot be encoded raises before any frame is built."""
+    spec = OP_SPECS[type(op)]
+    body = op.key.encode()
+    if spec.encode_arg is not None:
+        body += spec.encode_arg(op)
+    n = _STORAGE_PAYLOAD + len(body)
+    if n > MAX_FRAME:
+        raise _oversize(n)
+    return _STORAGE_HEAD.pack(n, request_id, bucket.table, bucket.index, spec.opcode, *cc) + body
+
+
+_VERB_PAYLOAD, _VERB_ARG_PAYLOAD = _VERB.size - 4, _VERB_ARG.size - 4
 
 
 def cc_request(
@@ -516,10 +563,11 @@ def cc_request(
     txn_id: int,
     arg: int | None = None,
 ) -> bytes:
-    payload = encode_header(request_id, bucket, opcode) + _U64.pack(txn_id)
-    if arg is not None:
-        payload += _U64.pack(arg)
-    return frame(payload)
+    """A verb frame: txn id, then the argument unless it is None (0 is sent)."""
+    tag, index = (GLOBAL_TAG, 0) if bucket is None else bucket
+    if arg is None:
+        return _VERB.pack(_VERB_PAYLOAD, request_id, tag, index, opcode, txn_id)
+    return _VERB_ARG.pack(_VERB_ARG_PAYLOAD, request_id, tag, index, opcode, txn_id, arg)
 
 
 def control_request(request_id: int, opcode: Op) -> bytes:
@@ -527,7 +575,10 @@ def control_request(request_id: int, opcode: Op) -> bytes:
 
 
 def ok_reply(request_id: int, body: bytes = b"") -> bytes:
-    return frame(encode_header(request_id, None, Op.OK) + body)
+    n = _HEADER.size + len(body)
+    if n > MAX_FRAME:
+        raise _oversize(n)
+    return _FRAME_HEAD.pack(n, request_id, GLOBAL_TAG, 0, _OK) + body
 
 
 def err_reply(request_id: int, code: ErrCode, message: str) -> bytes:
@@ -540,12 +591,11 @@ _REPLY_OPS = {Op.OK.value: Op.OK, Op.ERR.value: Op.ERR}
 
 def decode_reply(data: bytes) -> tuple[int, Op, bytes]:
     """Returns (request_id, OK or ERR, body) from a whole reply frame."""
-    payload = split_frame(data)
-    request_id, _tag, _index, opcode, rest = decode_header(payload)
+    _n, request_id, _tag, _index, opcode = open_frame(data)
     reply_op = _REPLY_OPS.get(opcode)
     if reply_op is None:
         raise ProtocolError(f"unexpected reply opcode {opcode:#x}")
-    return request_id, reply_op, rest
+    return request_id, reply_op, data[HEAD_SIZE:]
 
 
 def decode_err(body: bytes) -> tuple[ErrCode, str]:
@@ -559,13 +609,24 @@ def decode_err(body: bytes) -> tuple[ErrCode, str]:
 
 
 # Storage OK replies: bucket_seq(u64) version(u64) result payload.
+_STORAGE_OK_PAYLOAD = _STORAGE_OK.size - 4
+
+
+def storage_ok_reply(request_id: int, bucket_seq: int, version: int, result: bytes) -> bytes:
+    """The whole OK reply to a storage op: the same bytes as
+    ``ok_reply(request_id, storage_ok_body(bucket_seq, version, result))``."""
+    n = _STORAGE_OK_PAYLOAD + len(result)
+    if n > MAX_FRAME:
+        raise _oversize(n)
+    return _STORAGE_OK.pack(n, request_id, GLOBAL_TAG, 0, _OK, bucket_seq, version) + result
+
+
 def storage_ok_body(bucket_seq: int, version: int, result: bytes) -> bytes:
-    return _U64.pack(bucket_seq) + _U64.pack(version) + result
+    return _U64_PAIR.pack(bucket_seq, version) + result
 
 
 def decode_storage_ok(body: bytes) -> tuple[int, int, bytes]:
     if len(body) < 16:
         raise ProtocolError("truncated storage reply")
-    (bucket_seq,) = _U64.unpack_from(body, 0)
-    (version,) = _U64.unpack_from(body, 8)
+    bucket_seq, version = _U64_PAIR.unpack_from(body)
     return bucket_seq, version, body[16:]

@@ -297,6 +297,27 @@ REFUSED_ROWS = {
     "attempt does not parse": (_edit(GOOD_COMMIT, "\t2\t", "\t-\t"), "invalid literal"),
     "time does not parse": (_edit(GOOD_COMMIT, "11", "1.5"), "invalid literal"),
     "unknown row kind": (_edit(GOOD_COMMIT, "commit", "comit"), "unknown kind 'comit'"),
+    # The time column is a canonical integer, and a placeholder column reads
+    # "-", as the writer writes them.
+    "time with a sign": ("+5\tclient_start\t-\t0\t-\t-\t-", "bad integer '+5'"),
+    "time with a space": (" 7\tclient_end\tXX\t0\tjunk\tjunk\tjunk", "bad integer ' 7'"),
+    "time with an underscore": ("1_0\tcommit\t3\t0\t1\tbogus\tbogus", "bad integer '1_0'"),
+    "client_start attempt": ("5\tclient_start\t-\t0\t1\t-\t-",
+                             "placeholder column reads '1', not '-'"),
+    "client_end txn id": ("7\tclient_end\tXX\t0\t-\t-\t-",
+                          "placeholder column reads 'XX', not '-'"),
+    "client_end op": ("7\tclient_end\t-\t0\t-\t-\tjunk",
+                      "placeholder column reads 'junk', not '-'"),
+    "commit bucket": (_edit(GOOD_COMMIT, "\t-\t-", "\tbogus\t-"),
+                      "placeholder column reads 'bogus', not '-'"),
+    "commit op": (_edit(GOOD_COMMIT, "\t-\t-", "\t-\tbogus"),
+                  "placeholder column reads 'bogus', not '-'"),
+    "retry_start bucket": ("9\tretry_start\t1\t0\t2\tTERM:5\t-",
+                           "placeholder column reads 'TERM:5', not '-'"),
+    "txn_start bucket": ("3\ttxn_start\t1\t0\t1\tTERM:5\tsend_msg",
+                         "placeholder column reads 'TERM:5', not '-'"),
+    "txn_start attempt": ("3\ttxn_start\t1\t0\t2\t-\tsend_msg",
+                          "txn_start attempt reads '2', not '1'"),
 }
 
 

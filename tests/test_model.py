@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helenos import model
-from helenos.errors import ConfigError
+from helenos.errors import ConfigError, ProtocolError
 from helenos.model import (
     OWNER_CACHE_LIMIT,
     BucketId,
@@ -98,6 +98,15 @@ class TestCanonicalEncoding:
         key = TableKey(table, tuple(parts[:arity]))
         assert decode_key(key.encode())[0] == key
 
+    def test_decode_at_an_offset(self):
+        for key in (term_key(1, 2**64 - 1), seqno_key(5)):
+            data = b"xx" + key.encode() + b"yy"
+            assert decode_key(data, 2) == (key, 2 + len(key.encode()))
+        with pytest.raises(ProtocolError, match="^empty key encoding$"):
+            decode_key(seqno_key(5).encode(), 9)
+        with pytest.raises(ProtocolError, match="^truncated key encoding$"):
+            decode_key(b"x" + seqno_key(5).encode()[:-1], 1)
+
 
 class TestBucketOf:
     def test_modulus_one(self):
@@ -116,6 +125,26 @@ class TestBucketOf:
     def test_zero_buckets_rejected(self):
         with pytest.raises(ConfigError):
             bucket_of(seqno_key(1), 0)
+
+    # A field of any byte width, the edges of u64 included: bucket_of skips
+    # each field's leading zero bytes, and fnv1a_64 of the encoding stays
+    # the reference.
+    FIELDS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 1, 255, 256, 2**64 - 1]),
+                       st.integers(0, 64).map(lambda bits: (1 << bits) - 1))
+
+    @given(st.sampled_from(list(TableId)), st.lists(FIELDS, min_size=2, max_size=2),
+           st.integers(1, 4096))
+    def test_equals_the_hash_of_the_encoding(self, table, parts, buckets):
+        key = TableKey(table, tuple(parts[:model.KEY_ARITY[table]]))
+        assert bucket_of(key, buckets) == BucketId(table, fnv1a_64(key.encode()) % buckets)
+
+    @pytest.mark.parametrize("field", [-1, 2**64, 2**70], ids=["negative", "2^64", "2^70"])
+    def test_field_outside_u64_raises_as_encode_does(self, field):
+        for key in (term_key(field, 1), term_key(1, field), seqno_key(field)):
+            with pytest.raises(OverflowError) as encoded:
+                key.encode()
+            with pytest.raises(OverflowError, match=f"^{encoded.value}$"):
+                bucket_of(key, 8)
 
     def test_table_preserved(self):
         for key in (term_key(1, 2), inter_key(3, 4), message_key(5), seqno_key(6)):

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from helenos import wire
+from helenos import store, wire
 from helenos.errors import ProtocolError
 from helenos.model import (
     BucketId,
@@ -525,6 +525,30 @@ REPLY_CASES = {
     "occ validate with a 12-byte body": _case(
         [], wire.frame(wire.encode_header(RID, _BUCKET, Op.OCC_VALIDATE) + bytes(12)),
         _err(ErrCode.MALFORMED, "missing version")),
+    # Frame-level refusals. A frame whose header cannot be read is answered
+    # with request id 0.
+    "truncated frame length": _case(
+        [], b"\x00\x00\x00", wire.err_reply(0, ErrCode.MALFORMED, "truncated frame length")),
+    "frame length mismatch": _case(
+        [], _op(Read(_KEY))[:-1], wire.err_reply(0, ErrCode.MALFORMED, "frame length mismatch")),
+    "payload over the limit": _case(
+        [], (wire.MAX_FRAME + 1).to_bytes(4, "big") + _op(Read(_KEY))[4:],
+        wire.err_reply(0, ErrCode.MALFORMED,
+                       f"frame payload of {wire.MAX_FRAME + 1} bytes exceeds limit")),
+    "truncated frame header": _case(
+        [], wire.frame(wire.encode_header(RID, _BUCKET, Op.READ)[:-1]),
+        wire.err_reply(0, ErrCode.MALFORMED, "truncated frame header")),
+    "truncated concurrency block": _case(
+        [], wire.frame(wire.encode_header(RID, _BUCKET, Op.READ) + _CC_BYTES[:-1]),
+        _err(ErrCode.MALFORMED, "truncated concurrency block")),
+    "trailing bytes after the storage body": _case(
+        [], wire.frame(wire.encode_header(RID, _BUCKET, Op.READ) + _CC_BYTES + _KEY.encode()
+                       + b"!"),
+        _err(ErrCode.MALFORMED, "trailing bytes after storage body")),
+    "key table that does not match the bucket table": _case(
+        [], wire.frame(wire.encode_header(RID, _BUCKET, Op.READ) + _CC_BYTES
+                       + term_key(1, 2).encode()),
+        _err(ErrCode.MALFORMED, "key table does not match bucket table")),
 }
 
 
@@ -561,6 +585,41 @@ def test_every_opcode_byte_gets_a_well_formed_reply():
     expected.update(dict.fromkeys((0x20, 0x21, 0x22), "OK"))
     expected.update(dict.fromkeys((0x80, 0x81), "PROTOCOL"))
     assert replies == expected
+
+
+def _served(node: Node, frame_bytes: bytes) -> tuple[Op, object]:
+    """(OK, body) or (ERR, (code, message)) of the node's reply."""
+    _, opcode, body = wire.decode_reply(node.handle_frame(frame_bytes))
+    return opcode, wire.decode_err(body) if opcode is Op.ERR else body
+
+
+class TestHeaderRoutes:
+    """A node routes each header once and then looks it up; a refused header
+    is never stored, so it is refused again."""
+
+    def test_refused_headers_are_not_stored(self):
+        node = _node1()
+        for _ in range(2):
+            assert _served(node, wire.cc_request(RID, Op.FGL_LOCK, _NODE0_BUCKET, 7)) == (
+                Op.ERR, (ErrCode.ROUTING,
+                         f"bucket SEQNO:{_NODE0_BUCKET.index} is not owned by node1"))
+            assert _served(node, _raw_frame(9, Op.FGL_LOCK, _u64(7))) == (
+                Op.ERR, (ErrCode.PROTOCOL, "unknown table tag 9"))
+        assert node._owned == {}
+        owned = next(BucketId(TableId.SEQNO, i) for i in range(64)
+                     if _TWO_NODES.owner_of(BucketId(TableId.SEQNO, i)) == "node1")
+        assert _served(node, wire.cc_request(RID, Op.FGL_LOCK, owned, 7)) == (Op.OK, b"")
+        assert node._owned == {(TableId.SEQNO, owned.index): owned}
+
+    def test_bounded(self, monkeypatch):
+        monkeypatch.setattr(store, "OWNER_CACHE_LIMIT", 3)
+        node = one_node()
+        buckets = [BucketId(TableId.TERM, i) for i in range(6)]
+        for bucket in buckets:
+            assert _served(node, wire.cc_request(RID, Op.FGL_LOCK, bucket, 7)) == (Op.OK, b"")
+        assert list(node._owned.values()) == buckets[:3]
+        for bucket in buckets:  # past the limit a header is routed each time
+            assert _served(node, wire.cc_request(RID, Op.FGL_UNLOCK, bucket, 7)) == (Op.OK, b"")
 
 
 # A held lock, version or latch, as (frames that take it, frames that let it go).

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import time
 
+import pytest
+
 from helenos import wire
+from helenos.errors import ProtocolError, ServerError
 from helenos.model import RingLayout
 from helenos.store import Node
-from helenos.transport import TcpNodeServer, TcpTransport, unwrap_reply
+from helenos.transport import TcpNodeServer, TcpTransport, read_frame_from, unwrap_reply
 
 
 def test_finished_connections_are_dropped():
@@ -30,3 +33,64 @@ def test_finished_connections_are_dropped():
         stopped_in = time.monotonic() - started
     assert not server._accept_thread.is_alive()
     assert stopped_in < 5.0
+
+
+class ChunkedSocket:
+    """A peer that sends ``data`` at most ``chunk`` bytes per receive, then
+    closes."""
+
+    def __init__(self, data: bytes, chunk: int = 4096) -> None:
+        self._data = memoryview(data)
+        self._chunk = chunk
+
+    def recv(self, n: int) -> bytes:
+        chunk = bytes(self._data[:min(n, self._chunk)])
+        self._data = self._data[len(chunk):]
+        return chunk
+
+    def recv_into(self, buffer, nbytes: int = 0) -> int:
+        n = min(len(buffer), nbytes or len(buffer), self._chunk, len(self._data))
+        buffer[:n] = self._data[:n]
+        self._data = self._data[n:]
+        return n
+
+
+def test_large_frame_reads_in_linear_time():
+    payload = bytes(range(256)) * (8 * 1024 * 1024 // 256)
+    data = wire.frame(payload)
+    started = time.monotonic()
+    got = read_frame_from(ChunkedSocket(data))
+    elapsed = time.monotonic() - started
+    assert got == data
+    assert elapsed < 1.0, f"8 MiB in 4 KiB chunks took {elapsed:.2f} s"
+
+
+def test_peer_closing_mid_frame_raises():
+    data = wire.ok_reply(1, b"PONG" * 100)
+    with pytest.raises(ConnectionError, match="^connection closed mid-frame$"):
+        read_frame_from(ChunkedSocket(data[:-1], chunk=64))
+
+
+OK_5 = wire.ok_reply(5, b"body")
+
+
+@pytest.mark.parametrize("reply, text", [
+    (b"\x00\x00", "truncated frame length"),
+    (OK_5[:-1], "frame length mismatch"),
+    ((wire.MAX_FRAME + 1).to_bytes(4, "big") + OK_5[4:],
+     f"frame payload of {wire.MAX_FRAME + 1} bytes exceeds limit"),
+    (wire.frame(bytes(13)), "truncated frame header"),
+    (wire.control_request(5, wire.Op.PING), "unexpected reply opcode 0x20"),
+    (wire.ok_reply(6, b"body"), "reply id 6 does not match request 5"),
+    (wire.frame(wire.encode_header(5, None, wire.Op.ERR)), "empty error body"),
+], ids=["length", "mismatch", "oversize", "header", "request opcode", "request id", "empty err"])
+def test_unwrap_reply_refusals(reply, text):
+    with pytest.raises(ProtocolError, match=f"^{text}$"):
+        unwrap_reply(5, reply)
+
+
+def test_unwrap_reply_bodies():
+    assert unwrap_reply(5, OK_5) == b"body"
+    with pytest.raises(ServerError) as exc:
+        unwrap_reply(5, wire.err_reply(5, wire.ErrCode.ROUTING, "not mine"))
+    assert (exc.value.code, exc.value.message) == (wire.ErrCode.ROUTING, "not mine")

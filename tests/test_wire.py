@@ -10,7 +10,19 @@ from hypothesis import given, strategies as st
 
 from helenos import wire
 from helenos.errors import ProtocolError
-from helenos.model import BucketId, Message, MsgId, SeqPair, TableId, message_key, seqno_key, term_key
+from helenos.model import (
+    BucketId,
+    Message,
+    MsgId,
+    RingLayout,
+    SeqPair,
+    TableId,
+    inter_key,
+    message_key,
+    seqno_key,
+    term_key,
+)
+from helenos.store import Node
 from helenos.wire import (
     Append,
     CcBlock,
@@ -127,6 +139,93 @@ class TestFrames:
     def test_trailing_bytes_rejected(self):
         with pytest.raises(ProtocolError):
             wire.decode_storage_body(Op.READ, TableId.SEQNO, seqno_key(1).encode() + b"!")
+
+
+# Every frame kind's bytes, recorded from the codec that encoded the header,
+# the cc block, the key and the argument each on its own: the wire is frozen.
+GOLDEN_CC = CcBlock(Scheme.PESV, txn_id=0x0102030405060708, attempt=0x0A0B,
+                    op_index=0x0C0D0E0F, flags=wire.FLAG_RELEASE_AFTER, delay_ms=0x1112,
+                    private_version=0x131415161718191A)
+GOLDEN_RID = 0x2122232425262728
+GOLDEN_BUCKET = BucketId(TableId.INTER, 0x41424344)
+GOLDEN_TXN = 0x5152535455565758
+_STORAGE_HEAD = "0401020304050607080a0b0c0d0e0f011112131415161718191a"  # the cc block
+
+GOLDEN_STORAGE = {
+    "read": (BucketId(TableId.TERM, 0x31323334), Read(term_key(5, 2**64 - 1)),
+             "000000392122232425262728003132333401" + _STORAGE_HEAD
+             + "000000000000000005ffffffffffffffff"),
+    "append msgid": (BucketId(TableId.INTER, 7), Append(inter_key(3, 4), MsgId(4, 0x99)),
+                     "000000492122232425262728010000000702" + _STORAGE_HEAD
+                     + "0100000000000000030000000000000004"
+                       "00000000000000040000000000000099"),
+    "append message": (BucketId(TableId.MESSAGE, 1),
+                       Append(message_key(9), Message(MsgId(9, 2), 3, 9, (1, 256, 2**63), 0)),
+                       "000000732122232425262728020000000102" + _STORAGE_HEAD
+                       + "020000000000000009"
+                         "0000000000000009000000000000000200000000000000030000000000000009"
+                         "0003000000000000000100000000000001008000000000000000"
+                         "0000000000000000"),
+    "remove": (BucketId(TableId.TERM, 2), Remove(term_key(6, 0), MsgId(6, 1)),
+               "000000492122232425262728000000000203" + _STORAGE_HEAD
+               + "0000000000000000060000000000000000"
+                 "00000000000000060000000000000001"),
+    "write seq": (BucketId(TableId.SEQNO, 3), WriteSeq(seqno_key(12), SeqPair(40, 17)),
+                  "000000412122232425262728030000000304" + _STORAGE_HEAD
+                  + "03000000000000000c00000000000000280000000000000011"),
+    "incr seq": (BucketId(TableId.SEQNO, 0), IncrSeq(seqno_key(0)),
+                 "000000312122232425262728030000000005" + _STORAGE_HEAD
+                 + "030000000000000000"),
+}
+
+GOLDEN_OTHER = {
+    "verb": (lambda: wire.cc_request(GOLDEN_RID, Op.FGL_LOCK, GOLDEN_BUCKET, GOLDEN_TXN),
+             "0000001621222324252627280141424344125152535455565758"),
+    "verb with argument 0": (
+        lambda: wire.cc_request(GOLDEN_RID, Op.OCC_UNLOCK, GOLDEN_BUCKET, GOLDEN_TXN, 0),
+        "0000001e21222324252627280141424344195152535455565758" "0000000000000000"),
+    "verb with a large argument": (
+        lambda: wire.cc_request(GOLDEN_RID, Op.VER_RELEASE, GOLDEN_BUCKET, GOLDEN_TXN, 2**64 - 2),
+        "0000001e21222324252627280141424344165152535455565758" "fffffffffffffffe"),
+    "glock verb": (lambda: wire.cc_request(GOLDEN_RID, Op.GLOCK_ACQUIRE, None, GOLDEN_TXN),
+                   "000000162122232425262728ff00000000105152535455565758"),
+    "control": (lambda: wire.control_request(GOLDEN_RID, Op.SNAPSHOT),
+                "0000000e2122232425262728ff0000000021"),
+    "empty ok": (lambda: wire.ok_reply(GOLDEN_RID), "0000000e2122232425262728ff0000000080"),
+    "ok with a body": (lambda: wire.ok_reply(GOLDEN_RID, b"PONG"),
+                       "000000122122232425262728ff0000000080504f4e47"),
+    "storage ok": (
+        lambda: wire.ok_reply(GOLDEN_RID, wire.storage_ok_body(
+            0x61, 0x62, b"\x02" + bytes(15) + b"\x01")),
+        "0000002f2122232425262728ff0000000080" "0000000000000061" "0000000000000062"
+        "0200000000000000000000000000000001"),
+    "err": (lambda: wire.err_reply(GOLDEN_RID, ErrCode.ROUTING,
+                                   "bucket TERM:3 is not owned by node1"),
+            "000000322122232425262728ff0000000081" "02"
+            "6275636b6574205445524d3a33206973206e6f74206f776e6564206279206e6f646531"),
+}
+
+
+class TestGoldenFrames:
+    @pytest.mark.parametrize("bucket, op, golden", GOLDEN_STORAGE.values(), ids=GOLDEN_STORAGE)
+    def test_storage_request(self, bucket, op, golden):
+        assert wire.storage_request(GOLDEN_RID, bucket, op, GOLDEN_CC).hex() == golden
+        # A plain tuple of the cc fields in wire order encodes the same.
+        assert wire.storage_request(GOLDEN_RID, bucket, op, tuple(GOLDEN_CC)).hex() == golden
+
+    @pytest.mark.parametrize("build, golden", GOLDEN_OTHER.values(), ids=GOLDEN_OTHER)
+    def test_other_frames(self, build, golden):
+        assert build().hex() == golden
+
+    def test_node_storage_ok_reply(self):
+        node = Node("node0", RingLayout.from_node_ids(["node0"]))
+        key = seqno_key(12)
+        request = wire.storage_request(GOLDEN_RID, BucketId(TableId.SEQNO, 0),
+                                       WriteSeq(key, SeqPair(40, 17)),
+                                       CcBlock(Scheme.NONE, 1, 1, 1))
+        assert node.handle_frame(request).hex() == (
+            "0000002e2122232425262728ff0000000080" "0000000000000001" "0000000000000000"
+            "0000000000000028" "0000000000000011")
 
 
 @pytest.mark.parametrize("opcode", [Op.PING, Op.READ, Op.FGL_LOCK, 0x7F])
