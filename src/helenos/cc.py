@@ -25,6 +25,7 @@ first failure is raised; abandoning the attempt then tries the rest again.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -33,11 +34,12 @@ from typing import Any, Callable, Mapping
 
 from .errors import AccessSetError, ConfigError, RetryLimitError, TxnStateError
 from .model import BucketId, Message, MsgId, RingLayout, SeqPair, TableKey, bucket_of
-from .transport import Transport, unwrap_reply
+from .transport import Transport, unwrap_reply, unwrap_storage_reply
 from .wire import (
     FLAG_COMMIT_APPLY,
     FLAG_RELEASE_AFTER,
     OP_SPECS,
+    STORAGE_OK_HEAD,
     Append,
     IncrSeq,
     Op,
@@ -48,12 +50,12 @@ from .wire import (
     WriteSeq,
     apply_op,
     cc_request,
-    decode_storage_ok,
     default_entry,
     storage_request,
 )
 # Unused here, but the benchmark's traced run patches these names on this module.
-from .wire import decode_entry, decode_message, decode_msgid, decode_seqpair  # noqa: F401
+from .wire import (decode_entry, decode_message, decode_msgid, decode_seqpair,  # noqa: F401
+                   decode_storage_ok)
 
 
 class CommitOutcome(Enum):
@@ -75,7 +77,7 @@ class TxnDescriptor:
     def __post_init__(self) -> None:
         if not self.access:
             raise ConfigError("empty access set")
-        if any(count < 1 for count in self.access.values()):
+        if min(self.access.values()) < 1:
             raise ConfigError("access set op counts must be >= 1")
 
 
@@ -96,24 +98,28 @@ class TxnContext:
     clock: Callable[[], int] = time.monotonic_ns
     sleep: Callable[[float], None] = time.sleep
     sink: Any = None  # metrics.EventSink or None
-    _request_counter: int = 0
-    _txn_counter: int = 0
+    # Request and txn ids, (client_id << 32) | n for n = 1, 2, ...: each is a
+    # bound count.__next__, which hands out an id without a Python-level call.
+    next_request_id: Callable[[], int] = field(init=False, repr=False, compare=False)
+    next_txn_id: Callable[[], int] = field(init=False, repr=False, compare=False)
 
-    def next_request_id(self) -> int:
-        self._request_counter += 1
-        return (self.client_id << 32) | self._request_counter
-
-    def next_txn_id(self) -> int:
-        self._txn_counter += 1
-        return (self.client_id << 32) | self._txn_counter
-
-    def call(self, node_id: str, frame_bytes: bytes, request_id: int) -> bytes:
-        return unwrap_reply(request_id, self.transport.request(node_id, frame_bytes))
+    def __post_init__(self) -> None:
+        first = (self.client_id << 32) | 1
+        self.next_request_id = itertools.count(first).__next__
+        self.next_txn_id = itertools.count(first).__next__
 
     def cc_call(self, opcode: Op, bucket: BucketId | None, txn_id: int, arg: int | None = None) -> bytes:
         request_id = self.next_request_id()
-        node = self.layout.coordinator if bucket is None else self.layout.owner_of(bucket)
-        return self.call(node, cc_request(request_id, opcode, bucket, txn_id, arg), request_id)
+        if bucket is None:
+            node = self.layout.node_ids[0]  # the coordinator
+        else:
+            layout = self.layout
+            node = layout.owners.get(bucket) or layout.owner_of(bucket)
+        reply = self.transport.request(node, cc_request(request_id, opcode, bucket, txn_id, arg))
+        return unwrap_reply(request_id, reply)
+
+
+_RESULT_AT = STORAGE_OK_HEAD.size  # where a storage OK reply's result starts
 
 
 class TxnHandle:
@@ -131,7 +137,8 @@ class TxnHandle:
         self.remaining = dict(descriptor.access)
         self.held: dict[tuple[Op, BucketId | None], int | None] = {}
         self.outcome: CommitOutcome | None = None
-        self._op_index = 0
+        # Op indexes 1, 2, ... in program order, from a bound count.__next__.
+        self._next_op_index = itertools.count(1).__next__
         self._done = False
 
     # -- scheme hooks ----------------------------------------------------
@@ -200,39 +207,27 @@ class TxnHandle:
 
     # -- shared plumbing ---------------------------------------------------
 
-    def _next_op_index(self) -> int:
-        self._op_index += 1
-        return self._op_index
-
-    def _call_storage(self, bucket: BucketId, op: StorageOp, op_index: int,
-                      flags: int = 0, private_version: int = 0):
-        """Send one storage op; returns (result, version, bucket_seq)."""
+    def _send_storage(self, bucket: BucketId, op: StorageOp, op_index: int, flags: int = 0,
+                      private_version: int = 0, record: bool = True):
+        """Send one storage op, and record it in the sink unless ``record`` is
+        false; returns (result, version, bucket_seq)."""
         ctx = self.ctx
-        # The CcBlock fields, in wire order.
-        cc = (self.scheme, self.descriptor.txn_id, self.attempt, op_index, flags,
-              ctx.delay_ms, private_version)
+        txn_id = self.descriptor.txn_id
         request_id = ctx.next_request_id()
-        node = ctx.layout.owner_of(bucket)
-        body = ctx.call(node, storage_request(request_id, bucket, op, cc), request_id)
-        bucket_seq, version, payload = decode_storage_ok(body)
-        result = OP_SPECS[type(op)].decode_result(op.key.table, payload)
+        layout = ctx.layout
+        node = layout.owners.get(bucket) or layout.owner_of(bucket)
+        # The CcBlock fields, in wire order.
+        cc = (self.scheme, txn_id, self.attempt, op_index, flags, ctx.delay_ms, private_version)
+        reply = ctx.transport.request(node, storage_request(request_id, bucket, op, cc))
+        bucket_seq, version = unwrap_storage_reply(request_id, reply)
+        spec = OP_SPECS[type(op)]
+        key = op.key
+        result = spec.decode_result[key.table](reply, _RESULT_AT)[0]
+        sink = ctx.sink
+        if record and sink is not None:
+            sink.bucket_op(ctx.clock(), txn_id, ctx.client_id, self.attempt, bucket, op_index,
+                           spec.kind, key, result, bucket_seq)
         return result, version, bucket_seq
-
-    def _record_op(self, bucket: BucketId, op_index: int, kind: str,
-                   key: TableKey, value: object, bucket_seq: int) -> None:
-        if self.ctx.sink is not None:
-            self.ctx.sink.bucket_op(
-                self.ctx.clock(), self.descriptor.txn_id, self.ctx.client_id,
-                self.attempt, bucket, op_index, kind, key, value, bucket_seq,
-            )
-
-    def _send_storage(self, bucket: BucketId, op: StorageOp, op_index: int,
-                      flags: int = 0, private_version: int = 0):
-        result, version, bucket_seq = self._call_storage(
-            bucket, op, op_index, flags, private_version
-        )
-        self._record_op(bucket, op_index, OP_SPECS[type(op)].kind, op.key, result, bucket_seq)
-        return result, version
 
 
 class GLockHandle(TxnHandle):
@@ -242,8 +237,7 @@ class GLockHandle(TxnHandle):
         self._take(Op.GLOCK_ACQUIRE, Op.GLOCK_RELEASE, None)
 
     def _perform(self, bucket: BucketId, op: StorageOp):
-        result, _version = self._send_storage(bucket, op, self._next_op_index())
-        return result
+        return self._send_storage(bucket, op, self._next_op_index())[0]
 
 
 class FglHandle(TxnHandle):
@@ -254,7 +248,7 @@ class FglHandle(TxnHandle):
             self._take(Op.FGL_LOCK, Op.FGL_UNLOCK, bucket)
 
     def _perform(self, bucket: BucketId, op: StorageOp):
-        result, _version = self._send_storage(bucket, op, self._next_op_index())
+        result = self._send_storage(bucket, op, self._next_op_index())[0]
         if self.remaining[bucket] == 1:  # this was the last declared access
             self._give_back(Op.FGL_UNLOCK, bucket)
         return result
@@ -279,10 +273,8 @@ class PesvHandle(TxnHandle):
     def _perform(self, bucket: BucketId, op: StorageOp):
         last = self.remaining[bucket] == 1
         flags = FLAG_RELEASE_AFTER if last else 0
-        result, _version = self._send_storage(
-            bucket, op, self._next_op_index(), flags=flags,
-            private_version=self.versions[bucket],
-        )
+        result = self._send_storage(bucket, op, self._next_op_index(), flags,
+                                    self.versions[bucket])[0]
         if last:  # the node released the version after this access
             del self.held[Op.VER_RELEASE, bucket]
         return result
@@ -315,7 +307,8 @@ class OccHandle(TxnHandle):
 
     def _overlaid_read(self, bucket: BucketId, key: TableKey):
         op_index = self._next_op_index()
-        committed, version, bucket_seq = self._call_storage(bucket, Read(key), op_index)
+        committed, version, bucket_seq = self._send_storage(bucket, Read(key), op_index,
+                                                            record=False)
         seen = self.read_versions.get(bucket)
         if seen is None:
             self.read_versions[bucket] = version
@@ -326,7 +319,10 @@ class OccHandle(TxnHandle):
             value, _ = apply_op(value, op)
         # Recorded as observed: the transaction's logical read includes its
         # own buffered writes.
-        self._record_op(bucket, op_index, OP_SPECS[Read].kind, key, value, bucket_seq)
+        ctx = self.ctx
+        if ctx.sink is not None:
+            ctx.sink.bucket_op(ctx.clock(), self.descriptor.txn_id, ctx.client_id, self.attempt,
+                               bucket, op_index, OP_SPECS[Read].kind, key, value, bucket_seq)
         return value
 
     def _buffer_op(self, bucket: BucketId, op: StorageOp) -> None:
@@ -377,13 +373,12 @@ class AccessPlan(dict):
     """A declared access set, bucket -> op-count bound, that also remembers
     the bucket of each planned key (hashed with ``buckets_per_table``), so
     that the transaction body's verbs look keys up instead of hashing them
-    again."""
+    again. A planner fills it in place."""
 
     __slots__ = ("buckets_per_table", "key_buckets")
 
-    def __init__(self, counts: Mapping[BucketId, int], buckets_per_table: int,
-                 key_buckets: dict[TableKey, BucketId]) -> None:
-        super().__init__(counts)
+    def __init__(self, buckets_per_table: int, key_buckets: dict[TableKey, BucketId]) -> None:
+        super().__init__()
         self.buckets_per_table = buckets_per_table
         self.key_buckets = key_buckets
 
@@ -402,24 +397,25 @@ class TxnView:
         self._buckets = buckets_per_table
         self._known = key_buckets or {}
 
-    def _bucket(self, key: TableKey) -> BucketId:
-        bucket = self._known.get(key)
-        return bucket if bucket is not None else bucket_of(key, self._buckets)
-
     def read(self, key: TableKey):
-        return self._handle.access(self._bucket(key), Read(key))
+        bucket = self._known.get(key) or bucket_of(key, self._buckets)
+        return self._handle.access(bucket, Read(key))
 
     def append(self, key: TableKey, item: MsgId | Message):
-        return self._handle.access(self._bucket(key), Append(key, item))
+        bucket = self._known.get(key) or bucket_of(key, self._buckets)
+        return self._handle.access(bucket, Append(key, item))
 
     def remove(self, key: TableKey, item: MsgId) -> None:
-        self._handle.access(self._bucket(key), Remove(key, item))
+        bucket = self._known.get(key) or bucket_of(key, self._buckets)
+        self._handle.access(bucket, Remove(key, item))
 
     def write_seq(self, key: TableKey, pair: SeqPair) -> None:
-        self._handle.access(self._bucket(key), WriteSeq(key, pair))
+        bucket = self._known.get(key) or bucket_of(key, self._buckets)
+        self._handle.access(bucket, WriteSeq(key, pair))
 
     def incr_seq(self, key: TableKey) -> SeqPair:
-        return self._handle.access(self._bucket(key), IncrSeq(key))
+        bucket = self._known.get(key) or bucket_of(key, self._buckets)
+        return self._handle.access(bucket, IncrSeq(key))
 
 
 @dataclass

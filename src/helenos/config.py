@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from functools import cached_property
 from importlib import resources
 
 from .errors import ConfigError
@@ -86,6 +87,19 @@ class ScenarioConfig:
 
     def node_ids(self) -> list[str]:
         return [f"node{i}" for i in range(self.nodes)]
+
+    @cached_property
+    def task_bounds(self) -> tuple[list[float], tuple[TaskType, ...]]:
+        """The task pick table, built once per config: ``bounds[i]`` is the
+        sum of the first i + 1 task probabilities, added in ``TaskType``
+        order, and a roll picks ``tasks[i]`` for the first bound above it.
+        ``tasks`` ends with the last task type once more, for a roll that
+        floating-point residue leaves above every bound."""
+        bounds, acc = [], 0.0
+        for task in TaskType:
+            acc += self.probabilities[task]
+            bounds.append(acc)
+        return bounds, (*TaskType, list(TaskType)[-1])
 
 
 _RANGE_FIELDS = {"multicast_recipients", "import_batch"}

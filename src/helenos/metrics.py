@@ -95,30 +95,40 @@ class EventSink:
         self._events: list[Event] = []
         self._lock = threading.Lock()
 
-    def _emit(self, event: Event) -> None:
+    # Each method builds its event, then appends it under the lock.
+
+    def client_start(self, time_ns: int, client_id: int) -> None:
+        event = ClientStart(time_ns, client_id)
         with self._lock:
             self._events.append(event)
 
-    def client_start(self, time_ns: int, client_id: int) -> None:
-        self._emit(ClientStart(time_ns, client_id))
-
     def client_end(self, time_ns: int, client_id: int) -> None:
-        self._emit(ClientEnd(time_ns, client_id))
+        event = ClientEnd(time_ns, client_id)
+        with self._lock:
+            self._events.append(event)
 
     def txn_start(self, time_ns: int, txn_id: int, client_id: int, kind: str) -> None:
-        self._emit(TxnStart(time_ns, txn_id, client_id, kind))
+        event = TxnStart(time_ns, txn_id, client_id, kind)
+        with self._lock:
+            self._events.append(event)
 
     def retry_start(self, time_ns: int, txn_id: int, client_id: int, attempt: int) -> None:
-        self._emit(RetryStart(time_ns, txn_id, client_id, attempt))
+        event = RetryStart(time_ns, txn_id, client_id, attempt)
+        with self._lock:
+            self._events.append(event)
 
     def commit(self, time_ns: int, txn_id: int, client_id: int, attempt: int) -> None:
-        self._emit(Commit(time_ns, txn_id, client_id, attempt))
+        event = Commit(time_ns, txn_id, client_id, attempt)
+        with self._lock:
+            self._events.append(event)
 
     def bucket_op(self, time_ns: int, txn_id: int, client_id: int, attempt: int,
                   bucket: BucketId, op_index: int, kind: str, key: TableKey,
                   value: object, bucket_seq: int) -> None:
-        self._emit(BucketOp(time_ns, txn_id, client_id, attempt, bucket,
-                            op_index, kind, key, value, bucket_seq))
+        event = BucketOp(time_ns, txn_id, client_id, attempt, bucket, op_index, kind, key,
+                         value, bucket_seq)
+        with self._lock:
+            self._events.append(event)
 
     def events(self) -> list[Event]:
         with self._lock:

@@ -68,31 +68,52 @@ class TableKey(NamedTuple):
     parts: tuple[int, ...]
 
     def encode(self) -> bytes:
-        out = bytes([self.table])
-        for part in self.parts:
-            out += part.to_bytes(8, "big")
-        return out
+        try:
+            return _KEY_STRUCTS[len(self.parts)].pack(self.table, *self.parts)
+        except struct.error as exc:  # a field outside u64, as int.to_bytes would refuse it
+            raise OverflowError(f"key field out of range: {exc}") from None
+
+
+class StructsByCount(dict):
+    """count -> ``struct.Struct(fmt.format(count))``, built on first use."""
+
+    def __init__(self, fmt: str) -> None:
+        super().__init__()
+        self._fmt = fmt
+
+    def __missing__(self, count: int) -> struct.Struct:
+        packer = self[count] = struct.Struct(self._fmt.format(count))
+        return packer
+
+
+# A key's encoding, tag byte then fields, by field count.
+_KEY_STRUCTS = StructsByCount(">B{}Q")
+
+# The key constructors and decoders build their named tuples with
+# tuple.__new__, which skips the Python-level __new__ a named tuple call runs.
+_tuple_new = tuple.__new__
+_TERM, _INTER, _MESSAGE, _SEQNO = TableId.TERM, TableId.INTER, TableId.MESSAGE, TableId.SEQNO
 
 
 def term_key(user: UserId, keyword: Keyword) -> TableKey:
-    return TableKey(TableId.TERM, (user, keyword))
+    return _tuple_new(TableKey, (_TERM, (user, keyword)))
 
 
 def inter_key(sender: UserId, receiver: UserId) -> TableKey:
-    return TableKey(TableId.INTER, (sender, receiver))
+    return _tuple_new(TableKey, (_INTER, (sender, receiver)))
 
 
 def message_key(recipient: UserId) -> TableKey:
-    return TableKey(TableId.MESSAGE, (recipient,))
+    return _tuple_new(TableKey, (_MESSAGE, (recipient,)))
 
 
 def seqno_key(user: UserId) -> TableKey:
-    return TableKey(TableId.SEQNO, (user,))
+    return _tuple_new(TableKey, (_SEQNO, (user,)))
 
 
 # A key's fields after its tag byte, by tag byte.
 _KEY_FIELDS_BY_TAG = {table.value: struct.Struct(f">{arity}Q")
-                      for table, arity in KEY_ARITY.items()}
+                     for table, arity in KEY_ARITY.items()}
 
 
 def decode_key(data: bytes, off: int = 0) -> tuple[TableKey, int]:
@@ -106,7 +127,7 @@ def decode_key(data: bytes, off: int = 0) -> tuple[TableKey, int]:
     end = off + 1 + fields.size
     if len(data) < end:
         raise ProtocolError("truncated key encoding")
-    return TableKey(table, fields.unpack_from(data, off + 1)), end
+    return _tuple_new(TableKey, (table, fields.unpack_from(data, off + 1))), end
 
 
 # Bytes of a key encoding, tag included, by tag byte.
@@ -168,6 +189,7 @@ class BucketId(NamedTuple):
 # FNV64_PRIME ** k mod 2**64: hashing k zero bytes, which leave the xor as it
 # is, multiplies by this.
 _PRIME_POWERS = tuple(pow(FNV64_PRIME, k, 1 << 64) for k in range(9))
+_PRIME_7 = _PRIME_POWERS[7]
 
 
 def bucket_of(key: TableKey, buckets_per_table: int) -> BucketId:
@@ -175,21 +197,27 @@ def bucket_of(key: TableKey, buckets_per_table: int) -> BucketId:
 
     The same bucket as ``fnv1a_64(key.encode()) % buckets_per_table``: each
     field's leading zero bytes are hashed with one multiply, and only its
-    significant bytes one at a time. A field outside u64 raises the
+    significant bytes one at a time. A field below 256, seven zero bytes and
+    one more, is hashed in one expression without a mask: multiplying and
+    xoring with a byte keep the low 64 bits a function of the low 64 bits,
+    and those are all that is read. A field outside u64 raises the
     OverflowError that ``key.encode()`` raises.
     """
     if buckets_per_table < 1:
         raise ConfigError(f"buckets per table must be >= 1, got {buckets_per_table}")
     table = key.table
-    h = ((FNV64_OFFSET ^ table) * FNV64_PRIME) & _MASK64
+    h = (FNV64_OFFSET ^ table) * FNV64_PRIME
     for part in key.parts:
+        if 0 <= part < 256:
+            h = ((h * _PRIME_7) ^ part) * FNV64_PRIME
+            continue
         n = (part.bit_length() + 7) >> 3
         if n > 8 or part < 0:
-            part.to_bytes(8, "big")  # raises, as key.encode() does
+            key.encode()  # raises the OverflowError of a field outside u64
         h = (h * _PRIME_POWERS[8 - n]) & _MASK64
         for byte in part.to_bytes(n, "big"):
             h = ((h ^ byte) * FNV64_PRIME) & _MASK64
-    return BucketId(table, h % buckets_per_table)
+    return _tuple_new(BucketId, (table, (h & _MASK64) % buckets_per_table))
 
 
 def mix64(x: int) -> int:
@@ -226,14 +254,16 @@ class RingLayout:
 
     ``node_ids`` preserves configuration order; index 0 hosts the global
     lock. ``points`` is the same set of nodes sorted by ring position;
-    ``positions`` mirrors it for bisection. ``_owners`` memoizes
-    ``owner_of``; it takes no part in equality, hashing or repr.
+    ``positions`` mirrors it for bisection. ``owners`` memoizes
+    ``owner_of``, bounded by ``OWNER_CACHE_LIMIT``: a caller may read a
+    bucket's owner there and ask ``owner_of`` on a miss. It takes no part in
+    equality, hashing or repr.
     """
 
     node_ids: tuple[str, ...]
     points: tuple[tuple[int, str], ...]
     positions: tuple[int, ...]
-    _owners: dict[BucketId, str] = field(default_factory=dict, compare=False, repr=False)
+    owners: dict[BucketId, str] = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_node_ids(cls, node_ids: list[str] | tuple[str, ...]) -> RingLayout:
@@ -253,11 +283,11 @@ class RingLayout:
 
     def owner_of(self, bucket: BucketId) -> str:
         """The node whose position is the smallest strictly above the bucket's."""
-        owner = self._owners.get(bucket)
+        owner = self.owners.get(bucket)
         if owner is None:
             owner = self.owner_at(bucket_position(bucket))
-            if len(self._owners) < OWNER_CACHE_LIMIT:
-                self._owners[bucket] = owner
+            if len(self.owners) < OWNER_CACHE_LIMIT:
+                self.owners[bucket] = owner
         return owner
 
     def owner_at(self, position: int) -> str:
@@ -265,8 +295,3 @@ class RingLayout:
         if i == len(self.positions):
             i = 0
         return self.points[i][1]
-
-    @property
-    def coordinator(self) -> str:
-        """Node hosting the global lock (first node in configuration order)."""
-        return self.node_ids[0]

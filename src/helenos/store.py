@@ -233,7 +233,9 @@ class StorageEngine:
             st.seq += 1
             if isinstance(op, Append) and key.table is TableId.MESSAGE:
                 op = self._stamped(op)
-            current = st.data.get(key, wire.default_entry(key.table))
+            current = st.data.get(key)
+            if current is None:
+                current = wire.default_entry(key.table)
             entry, result = wire.apply_op(current, op)
             if entry is not current:  # a read leaves the entry as it is
                 wire.store_entry(st.data, key, entry)
@@ -392,7 +394,7 @@ class Node:
             if scheme is _PESV and cc.flags & wire.FLAG_RELEASE_AFTER:
                 self.suprema.release(bucket, cc.private_version)
 
-            body = spec.encode_result(op.key.table, result)
+            body = spec.encode_result[op.key.table](result)
             return wire.storage_ok_reply(request_id, seq, version, body)
         finally:
             with self._active_guard:
@@ -403,18 +405,20 @@ class Node:
         with self._active_guard:
             self._active += 1
         try:
-            # txn id, then the argument if the frame holds one; bytes past
-            # it are ignored.
+            # The body is the txn id, or the txn id and the argument.
             size = len(data) - HEAD_SIZE
-            if size >= 16:
-                txn, arg = _TXN_ARG.unpack_from(data, HEAD_SIZE)
-            elif size >= 8:
+            if size == 8:
                 (txn,) = _TXN.unpack_from(data, HEAD_SIZE)
                 arg = None
-            else:
+            elif size == 16:
+                txn, arg = _TXN_ARG.unpack_from(data, HEAD_SIZE)
+            elif size < 8:
                 return wire.err_reply(request_id, ErrCode.MALFORMED, "truncated txn id")
+            else:
+                return wire.err_reply(request_id, ErrCode.MALFORMED,
+                                      "verb body must be 8 or 16 bytes")
             if opcode in _GLOBAL_VERBS:
-                if self.layout.coordinator != self.node_id:
+                if self.layout.node_ids[0] != self.node_id:  # the coordinator
                     raise RoutingError(f"global lock is not hosted on {self.node_id}")
                 bucket = None
             else:

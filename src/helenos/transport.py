@@ -15,7 +15,17 @@ from typing import Protocol
 from .errors import ConfigError, ProtocolError, ServerError
 from .model import RingLayout
 from .store import Node
-from .wire import HEAD_SIZE, MAX_FRAME, ErrCode, Op, decode_err, err_reply, open_frame
+from .wire import (
+    HEAD_SIZE,
+    MAX_FRAME,
+    STORAGE_OK_HEAD,
+    ErrCode,
+    Op,
+    decode_err,
+    decode_storage_ok,
+    err_reply,
+    open_frame,
+)
 
 _OK, _ERR = Op.OK.value, Op.ERR.value
 
@@ -29,8 +39,9 @@ class Transport(Protocol):
 def unwrap_reply(expected_request_id: int, reply_frame: bytes) -> bytes:
     """Check a reply frame and return its body; raises on error replies.
 
-    The one place a client opens a reply: its length and header in one
-    unpack, then OK or ERR, then the request id.
+    The one place a client opens a reply other than a storage op's (see
+    ``unwrap_storage_reply``): its length and header in one unpack, then OK
+    or ERR, then the request id.
     """
     _n, request_id, _tag, _index, opcode = open_frame(reply_frame)
     if opcode != _OK and opcode != _ERR:
@@ -44,6 +55,30 @@ def unwrap_reply(expected_request_id: int, reply_frame: bytes) -> bytes:
         code, message = decode_err(body)
         raise ServerError(code, message)
     return body
+
+
+_STORAGE_OK_SIZE = STORAGE_OK_HEAD.size
+_MAX_REPLY = 4 + MAX_FRAME
+
+
+def unwrap_storage_reply(expected_request_id: int, reply_frame: bytes) -> tuple[int, int]:
+    """Check a storage op's reply frame; returns (bucket_seq, version). Its
+    result starts at ``STORAGE_OK_HEAD.size``.
+
+    The one place a client opens a storage reply. It accepts exactly what
+    ``unwrap_reply`` and then ``decode_storage_ok`` accept: an OK reply to
+    this request, of its stated length, whose body holds the two counters.
+    Such a reply is read with one unpack; any other goes to those two, which
+    refuse it with their texts.
+    """
+    size = len(reply_frame)
+    if _STORAGE_OK_SIZE <= size <= _MAX_REPLY:
+        n, request_id, _tag, _index, opcode, bucket_seq, version = (
+            STORAGE_OK_HEAD.unpack_from(reply_frame))
+        if n == size - 4 and request_id == expected_request_id and opcode == _OK:
+            return bucket_seq, version
+    bucket_seq, version, _result = decode_storage_ok(unwrap_reply(expected_request_id, reply_frame))
+    return bucket_seq, version
 
 
 class LoopbackCluster:

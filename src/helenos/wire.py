@@ -28,6 +28,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import partial
+from itertools import repeat, starmap
 from typing import Any, Callable, NamedTuple, Union
 
 from .errors import ProtocolError
@@ -36,6 +38,7 @@ from .model import (
     Message,
     MsgId,
     SeqPair,
+    StructsByCount,
     TableId,
     TableKey,
     decode_key,
@@ -106,32 +109,36 @@ FLAG_COMMIT_APPLY = 0x02  # optimistic: buffered write applied at commit
 
 # ---------------------------------------------------------------------------
 # Storage operations
+#
+# Plain slots dataclasses, hashable by value, that nothing mutates: one is
+# built on each side of every storage frame, and a frozen one costs about
+# twice as much to build.
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Read:
     key: TableKey
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Append:
     key: TableKey
     item: Union[MsgId, Message]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Remove:
     key: TableKey
     item: MsgId  # message lists are matched by id
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WriteSeq:
     key: TableKey
     pair: SeqPair
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IncrSeq:
     key: TableKey
 
@@ -193,7 +200,7 @@ def apply_op(entry: TableEntry, op: StorageOp) -> tuple[TableEntry, object]:
 
 def store_entry(data: dict[TableKey, TableEntry], key: TableKey, entry: TableEntry) -> None:
     """Set ``data[key]``; an entry equal to the default is dropped instead."""
-    if entry == default_entry(key.table):
+    if entry == TABLE_ROWS[key.table].default:
         data.pop(key, None)
     else:
         data[key] = entry
@@ -220,6 +227,7 @@ _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _U64_PAIR = struct.Struct(">QQ")
+_tuple_new = tuple.__new__  # builds a named tuple without its Python-level __new__
 
 
 def encode_msgid(m: MsgId) -> bytes:
@@ -229,21 +237,13 @@ def encode_msgid(m: MsgId) -> bytes:
 def decode_msgid(data: bytes, off: int = 0) -> tuple[MsgId, int]:
     if len(data) - off < 16:
         raise ProtocolError("truncated MsgId")
-    return MsgId(*_U64_PAIR.unpack_from(data, off)), off + 16
+    return _tuple_new(MsgId, _U64_PAIR.unpack_from(data, off)), off + 16
 
 
 # A message is its id, sender, recipient and word count (one head), its
 # words, and its timestamp; the words' struct is built once per word count.
 _MESSAGE_HEAD = struct.Struct(">QQQQH")
-
-
-class _WordStructs(dict):
-    def __missing__(self, n: int) -> struct.Struct:
-        words = self[n] = struct.Struct(f">{n}Q")
-        return words
-
-
-_WORDS = _WordStructs()
+_WORDS = StructsByCount(">{}Q")
 
 
 def encode_message(m: Message) -> bytes:
@@ -266,7 +266,7 @@ def decode_message(data: bytes, off: int = 0) -> tuple[Message, int]:
         raise ProtocolError("truncated message content")
     content = _WORDS[nwords].unpack_from(data, off + 34)
     (ts,) = _U64.unpack_from(data, end)
-    return Message(MsgId(r, s), sender, recipient, content, ts), end + 8
+    return Message(_tuple_new(MsgId, (r, s)), sender, recipient, content, ts), end + 8
 
 
 def encode_seqpair(p: SeqPair) -> bytes:
@@ -276,7 +276,7 @@ def encode_seqpair(p: SeqPair) -> bytes:
 def decode_seqpair(data: bytes, off: int = 0) -> tuple[SeqPair, int]:
     if len(data) - off < 16:
         raise ProtocolError("truncated sequence pair")
-    return SeqPair(*_U64_PAIR.unpack_from(data, off)), off + 16
+    return _tuple_new(SeqPair, _U64_PAIR.unpack_from(data, off)), off + 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,10 +307,22 @@ def default_entry(table: TableId) -> TableEntry:
     return TABLE_ROWS[table].default
 
 
+# An entry's kind byte, then a pair or a list's item count.
+_KIND_PAIR = struct.Struct(">BQQ")
+_KIND_COUNT = struct.Struct(">BI")
+
+
 def encode_entry(table: TableId, entry: TableEntry) -> bytes:
+    """A pair, or a list of ids, is packed without a Python call per item; a
+    message list goes item by item through the message codec."""
     row = TABLE_ROWS[table]
-    if row is _SEQPAIR:
-        return bytes([row.kind]) + row.encode_item(entry)
+    try:
+        if row is _SEQPAIR:
+            return _KIND_PAIR.pack(row.kind, *entry)
+        if row is _MSGIDS:
+            return _KIND_COUNT.pack(row.kind, len(entry)) + b"".join(starmap(_U64_PAIR.pack, entry))
+    except struct.error as exc:  # an int outside u64, as int.to_bytes would refuse it
+        raise OverflowError(f"entry field out of range: {exc}") from None
     return bytes([row.kind]) + _U32.pack(len(entry)) + b"".join(map(row.encode_item, entry))
 
 
@@ -328,6 +340,14 @@ def decode_entry(data: bytes, off: int = 0) -> tuple[TableEntry, int]:
         raise ProtocolError("truncated entry count")
     (count,) = _U32.unpack_from(data, off)
     off += 4
+    if row is _MSGIDS:  # the ids by one C iterator, without a Python call per id
+        end = off + 16 * count
+        if len(data) < end:
+            raise ProtocolError("truncated MsgId")
+        if not count:
+            return (), end
+        pairs = _U64_PAIR.iter_unpack(data[off:end])
+        return tuple(map(_tuple_new, repeat(MsgId, count), pairs)), end
     items = []
     for _ in range(count):
         item, off = decode(data, off)
@@ -369,17 +389,10 @@ def entry_end(data: bytes, off: int = 0) -> int:
     return off
 
 
-def _encode_item(table: TableId, item: Any) -> bytes:
-    return TABLE_ROWS[table].encode_item(item)
-
-
-def _decode_item(table: TableId, data: bytes) -> Any:
-    return TABLE_ROWS[table].decode_item(data, 0)[0]
-
-
 def _encode_append(op: Append) -> bytes:
-    _check_append_item(op.key.table, op.item)  # refused before anything is sent
-    return _encode_item(op.key.table, op.item)
+    table, item = op.key.table, op.item
+    _check_append_item(table, item)  # refused before anything is sent
+    return TABLE_ROWS[table].encode_item(item)
 
 
 @dataclass(frozen=True, slots=True)
@@ -388,7 +401,12 @@ class OpSpec:
     event-log kind; whether its result depends on the stored entry
     (``observes``) and whether it may change the entry (``writes``); the
     codec of the argument its request carries after the key (None for an op
-    that carries none); and the codec of the result its OK reply carries."""
+    that carries none); and the codec of the result its OK reply carries.
+
+    The argument decoder and both result codecs are looked up by the key's
+    table: ``decode_arg[table](data, off)`` and ``decode_result[table](data,
+    off)`` return (value, where it ends), ``encode_result[table](value)``
+    returns the bytes."""
 
     op: type
     opcode: Op
@@ -396,31 +414,32 @@ class OpSpec:
     observes: bool
     writes: bool
     encode_arg: Callable[[Any], bytes] | None
-    decode_arg: Callable[[TableId, bytes, int], tuple[Any, int]] | None
-    encode_result: Callable[[TableId, Any], bytes]
-    decode_result: Callable[[TableId, bytes], Any]
+    decode_arg: dict[TableId, Callable[[bytes, int], tuple[Any, int]]] | None
+    encode_result: dict[TableId, Callable[[Any], bytes]]
+    decode_result: dict[TableId, Callable[[bytes, int], tuple[Any, int]]]
 
 
 # An append carries and returns an item of its key's table, a remove the id
 # it matches; a read returns the whole entry; the sequence ops return the
 # new pair, and a sequence write carries it.
+_ITEM_ENCODERS = {table: row.encode_item for table, row in TABLE_ROWS.items()}
+_ITEM_DECODERS = {table: row.decode_item for table, row in TABLE_ROWS.items()}
 OP_SPECS: dict[type, OpSpec] = {
     spec.op: spec
     for spec in (
         OpSpec(Read, Op.READ, "read", True, False, None, None,
-               encode_entry, lambda _table, data: decode_entry(data)[0]),
+               {table: partial(encode_entry, table) for table in TABLE_ROWS},
+               dict.fromkeys(TABLE_ROWS, decode_entry)),
         OpSpec(Append, Op.APPEND, "append", False, True,
-               _encode_append, lambda table, data, off: TABLE_ROWS[table].decode_item(data, off),
-               _encode_item, _decode_item),
+               _encode_append, _ITEM_DECODERS, _ITEM_ENCODERS, _ITEM_DECODERS),
         OpSpec(Remove, Op.REMOVE, "remove", False, True,
-               lambda op: encode_msgid(op.item), lambda _table, data, off: decode_msgid(data, off),
-               lambda _table, mid: encode_msgid(mid), lambda _table, data: decode_msgid(data)[0]),
+               lambda op: encode_msgid(op.item), dict.fromkeys(TABLE_ROWS, decode_msgid),
+               dict.fromkeys(TABLE_ROWS, encode_msgid), dict.fromkeys(TABLE_ROWS, decode_msgid)),
         OpSpec(WriteSeq, Op.WRITE_SEQ, "write_seq", False, True,
-               lambda op: encode_seqpair(op.pair),
-               lambda _table, data, off: decode_seqpair(data, off),
-               _encode_item, _decode_item),
+               lambda op: encode_seqpair(op.pair), dict.fromkeys(TABLE_ROWS, decode_seqpair),
+               _ITEM_ENCODERS, _ITEM_DECODERS),
         OpSpec(IncrSeq, Op.INCR_SEQ, "incr_seq", True, True, None, None,
-               _encode_item, _decode_item),
+               _ITEM_ENCODERS, _ITEM_DECODERS),
     )
 }
 SPEC_BY_OPCODE: dict[int, OpSpec] = {spec.opcode: spec for spec in OP_SPECS.values()}
@@ -443,11 +462,12 @@ _FRAME_HEAD = struct.Struct(">I" + _HEADER_FIELDS)  # every frame: length, heade
 _STORAGE_HEAD = struct.Struct(">I" + _HEADER_FIELDS + _CC_FIELDS)  # then key, argument
 _VERB = struct.Struct(">I" + _HEADER_FIELDS + "Q")  # txn id
 _VERB_ARG = struct.Struct(">I" + _HEADER_FIELDS + "QQ")  # txn id, argument
-_STORAGE_OK = struct.Struct(">I" + _HEADER_FIELDS + "QQ")  # bucket seq, version, then result
+# A storage op's OK reply: length, header, bucket seq and version; the result
+# starts at STORAGE_OK_HEAD.size.
+STORAGE_OK_HEAD = struct.Struct(">I" + _HEADER_FIELDS + "QQ")
 
 HEAD_SIZE = _FRAME_HEAD.size  # where a frame's body starts
 _OK = Op.OK.value
-_tuple_new = tuple.__new__  # builds a named tuple without its Python-level __new__
 
 
 def _oversize(n: int) -> ProtocolError:
@@ -529,7 +549,7 @@ def decode_storage_body(opcode: int, table: TableId, data: bytes, off: int = 0) 
     if spec.decode_arg is None:
         op = spec.op(key)
     else:
-        arg, off = spec.decode_arg(table, data, off)
+        arg, off = spec.decode_arg[table](data, off)
         op = spec.op(key, arg)
     if off != len(data):
         raise ProtocolError("trailing bytes after storage body")
@@ -609,7 +629,7 @@ def decode_err(body: bytes) -> tuple[ErrCode, str]:
 
 
 # Storage OK replies: bucket_seq(u64) version(u64) result payload.
-_STORAGE_OK_PAYLOAD = _STORAGE_OK.size - 4
+_STORAGE_OK_PAYLOAD = STORAGE_OK_HEAD.size - 4
 
 
 def storage_ok_reply(request_id: int, bucket_seq: int, version: int, result: bytes) -> bytes:
@@ -618,7 +638,7 @@ def storage_ok_reply(request_id: int, bucket_seq: int, version: int, result: byt
     n = _STORAGE_OK_PAYLOAD + len(result)
     if n > MAX_FRAME:
         raise _oversize(n)
-    return _STORAGE_OK.pack(n, request_id, GLOBAL_TAG, 0, _OK, bucket_seq, version) + result
+    return STORAGE_OK_HEAD.pack(n, request_id, GLOBAL_TAG, 0, _OK, bucket_seq, version) + result
 
 
 def storage_ok_body(bucket_seq: int, version: int, result: bytes) -> bytes:

@@ -14,7 +14,7 @@ plus local processing.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
@@ -37,21 +37,19 @@ Plan = AccessPlan
 
 
 class _PlanBuilder:
-    """Accumulates an access set, hashing each distinct key once."""
+    """Accumulates an access set in ``plan``, hashing each distinct key once."""
 
     def __init__(self, buckets_per_table: int) -> None:
         self._buckets = buckets_per_table
-        self.counts: Counter[BucketId] = Counter()
         self.key_buckets: dict[TableKey, BucketId] = {}
+        self.plan = AccessPlan(buckets_per_table, self.key_buckets)
 
     def add(self, key: TableKey, n: int = 1) -> None:
         bucket = self.key_buckets.get(key)
         if bucket is None:
             bucket = self.key_buckets[key] = bucket_of(key, self._buckets)
-        self.counts[bucket] += n
-
-    def plan(self) -> Plan:
-        return AccessPlan(self.counts, self._buckets, self.key_buckets)
+        plan = self.plan
+        plan[bucket] = plan.get(bucket, 0) + n
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +62,7 @@ def plan_get_association(b: int, u1: int, u2: int) -> Plan:
     p.add(inter_key(u2, u1))
     p.add(seqno_key(u1))
     p.add(seqno_key(u2))
-    return p.plan()
+    return p.plan
 
 
 def txn_get_association(tx: TxnView, u1: int, u2: int) -> tuple[list[MsgId], list[SeqPair]]:
@@ -78,7 +76,7 @@ def plan_get_by_keyword(b: int, user: int, keywords: Iterable[int]) -> Plan:
     p = _PlanBuilder(b)
     for kw in sorted(set(keywords)):
         p.add(term_key(user, kw))
-    return p.plan()
+    return p.plan
 
 
 def txn_get_by_keyword(tx: TxnView, user: int, keywords: Iterable[int]) -> set[MsgId]:
@@ -93,7 +91,7 @@ def plan_get_conversation(b: int, sender: int, recipient: int, both: bool = Fals
     p.add(inter_key(sender, recipient))
     if both:
         p.add(inter_key(recipient, sender))
-    return p.plan()
+    return p.plan
 
 
 def txn_get_conversation(tx: TxnView, sender: int, recipient: int,
@@ -108,7 +106,7 @@ def plan_get_messages(b: int, ids: Sequence[MsgId]) -> Plan:
     p = _PlanBuilder(b)
     for recipient in _distinct(m.recipient for m in ids):
         p.add(message_key(recipient))
-    return p.plan()
+    return p.plan
 
 
 def txn_get_messages(tx: TxnView, ids: Sequence[MsgId]) -> list[Message]:
@@ -134,7 +132,7 @@ def plan_index_messages(b: int, queries: dict[int, set[int]]) -> Plan:
     for user in sorted(queries):
         p.add(message_key(user))  # upper bound: read even if no hits
         p.add(seqno_key(user))
-    return p.plan()
+    return p.plan
 
 
 def txn_index_messages(tx: TxnView, queries: dict[int, set[int]],
@@ -158,7 +156,7 @@ def txn_index_messages(tx: TxnView, queries: dict[int, set[int]],
 def plan_reset_cutoff(b: int, user: int) -> Plan:
     p = _PlanBuilder(b)
     p.add(seqno_key(user), 2)
-    return p.plan()
+    return p.plan
 
 
 def txn_reset_cutoff(tx: TxnView, user: int) -> SeqPair:
@@ -170,7 +168,7 @@ def txn_reset_cutoff(tx: TxnView, user: int) -> SeqPair:
 def plan_send_msg(b: int, sender: int, recipient: int, content: Sequence[int]) -> Plan:
     p = _PlanBuilder(b)
     _plan_one_send(p, sender, recipient, content)
-    return p.plan()
+    return p.plan
 
 
 def _plan_one_send(p: _PlanBuilder, sender: int, recipient: int,
@@ -203,7 +201,7 @@ def plan_remove_messages(b: int, messages: Sequence[Message]) -> Plan:
         p.add(inter_key(m.sender, m.recipient))
         p.add(inter_key(m.recipient, m.sender))
         p.add(message_key(m.recipient))
-    return p.plan()
+    return p.plan
 
 
 def txn_remove_messages(tx: TxnView, messages: Sequence[Message]) -> None:
@@ -225,7 +223,7 @@ def plan_import_messages(b: int, messages: Sequence[Message]) -> Plan:
         p.add(inter_key(m.recipient, m.sender))
         for kw in m.keywords():
             p.add(term_key(m.recipient, kw))
-    return p.plan()
+    return p.plan
 
 
 def txn_import_messages(tx: TxnView, messages: Sequence[Message],
@@ -360,7 +358,7 @@ class ClientRuntime:
         def body(tx: TxnView) -> list[MsgId]:
             return [txn_send_msg(tx, sender, r, content) for r in recipients]
 
-        result = run_atomic(self.ctx, "send_msg", builder.plan(), body)
+        result = run_atomic(self.ctx, "send_msg", builder.plan, body)
         for mid in result.payload:
             self._bump_est(mid.recipient, mid.seq)
         return TaskOutcome(TaskType.SEND_MULTICAST, [result])
@@ -454,11 +452,8 @@ _TASK_BODIES = {
 
 
 def pick_task(cfg: ScenarioConfig, rng: random.Random) -> TaskType:
-    """Sample a task type from the scenario's probability vector."""
-    roll = rng.random()
-    acc = 0.0
-    for task in TaskType:
-        acc += cfg.probabilities[task]
-        if roll < acc:
-            return task
-    return list(TaskType)[-1]  # floating point residue
+    """Sample a task type from the scenario's probability vector: the first
+    task whose cumulative probability exceeds the roll, or the last task when
+    floating-point residue leaves the roll above every bound."""
+    bounds, tasks = cfg.task_bounds
+    return tasks[bisect_right(bounds, rng.random())]

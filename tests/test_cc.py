@@ -33,6 +33,7 @@ from helenos.model import (
     seqno_key,
     term_key,
 )
+from helenos.transport import unwrap_reply
 from helenos.wire import Append, ErrCode, IncrSeq, Op, Read, Scheme, WriteSeq
 
 B = 8
@@ -150,6 +151,65 @@ class FailNth:
                 return wire.err_reply(request_id, ErrCode.REFUSED,
                                       f"injected failure of {self.opcode.name} #{self.n}")
         return self.inner.request(node_id, frame_bytes)
+
+
+class TamperStorageReplies:
+    """Transport wrapper that passes each storage op's reply through
+    ``change`` and keeps the request id and the reply it returned."""
+
+    def __init__(self, inner, change) -> None:
+        self.inner = inner
+        self.change = change
+        self.last: tuple[int, bytes] | None = None
+
+    def request(self, node_id: str, frame_bytes: bytes) -> bytes:
+        reply = self.inner.request(node_id, frame_bytes)
+        request_id, _tag, _index, opcode, _rest = wire.decode_header(wire.split_frame(frame_bytes))
+        if opcode not in STORAGE_OPCODES:
+            return reply
+        reply = self.change(reply)
+        self.last = request_id, reply
+        return reply
+
+
+# A storage reply that is not a whole OK reply to its request is refused as
+# unwrap_reply and then decode_storage_ok refuse it; one that is, whatever
+# bucket its header names, is accepted, as those two accept it.
+TAMPERED_REPLIES = {
+    "another request id": lambda reply: reply[:4] + (1 << 60).to_bytes(8, "big") + reply[12:],
+    "one byte short": lambda reply: reply[:-1],
+    "one byte long": lambda reply: reply + b"!",
+    "length over the limit": lambda reply: (wire.MAX_FRAME + 1).to_bytes(4, "big") + reply[4:],
+    "ok without a storage head": lambda reply: wire.ok_reply(
+        int.from_bytes(reply[4:12], "big"), b"seq"),
+    "reply opcode of a request": lambda reply: reply[:17] + bytes([Op.READ]) + reply[18:],
+}
+
+
+@pytest.mark.parametrize("change", TAMPERED_REPLIES.values(), ids=TAMPERED_REPLIES)
+def test_storage_reply_refused_as_unwrap_reply_refuses_it(change):
+    cluster = make_cluster(2)
+    ctx = make_ctx(cluster, Scheme.GLOCK)
+    ctx.transport = tamper = TamperStorageReplies(cluster, change)
+    handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), {seq_bucket(1): 1}))
+    with pytest.raises(ProtocolError) as got:
+        handle.access(seq_bucket(1), Read(seqno_key(1)))
+    request_id, reply = tamper.last
+    with pytest.raises(ProtocolError) as expected:
+        wire.decode_storage_ok(unwrap_reply(request_id, reply))
+    assert str(got.value) == str(expected.value)
+    handle.abandon()
+    assert all(node.quiescent() for node in cluster.nodes.values())
+
+
+def test_storage_reply_with_another_header_bucket_is_accepted():
+    cluster = make_cluster(2)
+    ctx = make_ctx(cluster, Scheme.GLOCK)
+    ctx.transport = TamperStorageReplies(cluster, lambda reply: reply[:12] + b"\x03" + reply[13:])
+    handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), {seq_bucket(1): 2}))
+    assert handle.access(seq_bucket(1), IncrSeq(seqno_key(1))) == SeqPair(1, 0)
+    assert handle.access(seq_bucket(1), Read(seqno_key(1))) == SeqPair(1, 0)
+    handle.commit()
 
 
 @pytest.mark.parametrize("key, item, message", [

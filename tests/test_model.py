@@ -151,6 +151,23 @@ class TestBucketOf:
             assert bucket_of(key, 64).table is key.table
 
 
+class TestKeyEncodingPins:
+    """The struct codec of a key is the tag byte, then each field as u64."""
+
+    @given(st.sampled_from(list(TableId)),
+           st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2))
+    def test_encode_is_the_tag_then_each_field(self, table, fields):
+        parts = tuple(fields[:model.KEY_ARITY[table]])
+        expected = bytes([table]) + b"".join(p.to_bytes(8, "big") for p in parts)
+        assert TableKey(table, parts).encode() == expected
+
+    @pytest.mark.parametrize("field", [2**64, 2**70, -1], ids=["2^64", "2^70", "negative"])
+    def test_field_outside_u64_raises_overflow(self, field):
+        for key in (term_key(field, 1), inter_key(1, field), message_key(field), seqno_key(field)):
+            with pytest.raises(OverflowError):
+                key.encode()
+
+
 def owner_oracle(bucket: BucketId, layout: RingLayout) -> str:
     """Linear scan: smallest position strictly greater, wrapping to lowest."""
     pos = bucket_position(bucket)
@@ -267,12 +284,12 @@ class TestOwnerCache:
         indices = rng.sample(range(2**32), OWNER_CACHE_LIMIT + 200)
         for index in indices[:OWNER_CACHE_LIMIT]:
             layout.owner_of(BucketId(TableId.TERM, index))
-        assert len(layout._owners) == OWNER_CACHE_LIMIT
+        assert len(layout.owners) == OWNER_CACHE_LIMIT
         for index in indices[OWNER_CACHE_LIMIT:]:
             bucket = BucketId(TableId.MESSAGE, index)
             assert layout.owner_of(bucket) == owner_oracle(bucket, layout)
             assert layout.owner_of(bucket) == owner_oracle(bucket, layout)
-        assert len(layout._owners) == OWNER_CACHE_LIMIT
+        assert len(layout.owners) == OWNER_CACHE_LIMIT
 
     def test_concurrent_fill_routes_correctly(self):
         # Client and node threads share one layout; more threads than cores,
@@ -300,4 +317,4 @@ class TestOwnerCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
-        assert layout._owners == expected
+        assert layout.owners == expected

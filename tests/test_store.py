@@ -413,8 +413,9 @@ _OCC_WRITE = CcBlock(Scheme.OCC, 7, 1, 1, flags=wire.FLAG_COMMIT_APPLY)
 _ZERO_PAIR_ENTRY = b"\x02" + _u64(0) + _u64(0)  # a read's reply: entry kind, then the pair
 
 
-def _case(setup: list[bytes], frame_bytes: bytes, reply: bytes, node=one_node):
-    return node, setup, frame_bytes, reply
+def _case(setup: list[bytes], frame_bytes: bytes, reply: bytes, node=one_node,
+          ends_quiescent: bool = False):
+    return node, setup, frame_bytes, reply, ends_quiescent
 
 
 def _node1() -> Node:  # not the coordinator
@@ -425,7 +426,10 @@ _NODE0_BUCKET = next(BucketId(TableId.SEQNO, i) for i in range(64)
                      if _TWO_NODES.owner_of(BucketId(TableId.SEQNO, i)) == "node0")
 
 
-# name: (node factory, setup frames, request frame, exact reply)
+_TERM_1 = BucketId(TableId.TERM, 1)
+
+# name: (node factory, setup frames, request frame, exact reply, whether the
+# node must be quiescent afterwards, every lock free)
 REPLY_CASES = {
     "read": _case([], _op(Read(_KEY)), _stored(_ZERO_PAIR_ENTRY)),
     "append": _case([], _op(Append(_LIST, _ID)), _stored(_u64(2) + _u64(1))),
@@ -522,9 +526,16 @@ REPLY_CASES = {
         [], wire.frame(wire.encode_header(RID, _NODE0_BUCKET, Op.READ) + _CC_BYTES[:2]),
         _err(ErrCode.ROUTING, f"bucket SEQNO:{_NODE0_BUCKET.index} is not owned by node1"),
         node=_node1),
+    # A verb body is exactly a txn id, or a txn id and an argument.
     "occ validate with a 12-byte body": _case(
         [], wire.frame(wire.encode_header(RID, _BUCKET, Op.OCC_VALIDATE) + bytes(12)),
-        _err(ErrCode.MALFORMED, "missing version")),
+        _err(ErrCode.MALFORMED, "verb body must be 8 or 16 bytes")),
+    "fgl lock with bytes after its argument": _case(
+        [], wire.frame(wire.cc_request(RID, Op.FGL_LOCK, _TERM_1, 7, 5)[4:] + b"junk"),
+        _err(ErrCode.MALFORMED, "verb body must be 8 or 16 bytes"), ends_quiescent=True),
+    "fgl lock with an 11-byte body": _case(
+        [], wire.frame(wire.encode_header(RID, _TERM_1, Op.FGL_LOCK) + _u64(7) + bytes(3)),
+        _err(ErrCode.MALFORMED, "verb body must be 8 or 16 bytes"), ends_quiescent=True),
     # Frame-level refusals. A frame whose header cannot be read is answered
     # with request id 0.
     "truncated frame length": _case(
@@ -552,9 +563,9 @@ REPLY_CASES = {
 }
 
 
-@pytest.mark.parametrize("make_node, setup, frame_bytes, reply", REPLY_CASES.values(),
-                         ids=REPLY_CASES)
-def test_node_reply_table(make_node, setup, frame_bytes, reply):
+@pytest.mark.parametrize("make_node, setup, frame_bytes, reply, ends_quiescent",
+                         REPLY_CASES.values(), ids=REPLY_CASES)
+def test_node_reply_table(make_node, setup, frame_bytes, reply, ends_quiescent):
     # Served on a daemon thread under a deadline, so that a frame the node
     # waits on forever fails its case instead of hanging the suite.
     node = make_node()
@@ -570,6 +581,8 @@ def test_node_reply_table(make_node, setup, frame_bytes, reply):
     server.join(5.0)
     assert not server.is_alive(), "the node is still waiting on the frame"
     assert replies == [reply]
+    if ends_quiescent:
+        assert node.quiescent()
 
 
 def test_every_opcode_byte_gets_a_well_formed_reply():

@@ -10,7 +10,13 @@ from helenos import wire
 from helenos.errors import ProtocolError, ServerError
 from helenos.model import RingLayout
 from helenos.store import Node
-from helenos.transport import TcpNodeServer, TcpTransport, read_frame_from, unwrap_reply
+from helenos.transport import (
+    TcpNodeServer,
+    TcpTransport,
+    read_frame_from,
+    unwrap_reply,
+    unwrap_storage_reply,
+)
 
 
 def test_finished_connections_are_dropped():
@@ -74,16 +80,19 @@ def test_peer_closing_mid_frame_raises():
 OK_5 = wire.ok_reply(5, b"body")
 
 
-@pytest.mark.parametrize("reply, text", [
-    (b"\x00\x00", "truncated frame length"),
-    (OK_5[:-1], "frame length mismatch"),
-    ((wire.MAX_FRAME + 1).to_bytes(4, "big") + OK_5[4:],
-     f"frame payload of {wire.MAX_FRAME + 1} bytes exceeds limit"),
-    (wire.frame(bytes(13)), "truncated frame header"),
-    (wire.control_request(5, wire.Op.PING), "unexpected reply opcode 0x20"),
-    (wire.ok_reply(6, b"body"), "reply id 6 does not match request 5"),
-    (wire.frame(wire.encode_header(5, None, wire.Op.ERR)), "empty error body"),
-], ids=["length", "mismatch", "oversize", "header", "request opcode", "request id", "empty err"])
+UNWRAP_REFUSALS = {
+    "length": (b"\x00\x00", "truncated frame length"),
+    "mismatch": (OK_5[:-1], "frame length mismatch"),
+    "oversize": ((wire.MAX_FRAME + 1).to_bytes(4, "big") + OK_5[4:],
+                 f"frame payload of {wire.MAX_FRAME + 1} bytes exceeds limit"),
+    "header": (wire.frame(bytes(13)), "truncated frame header"),
+    "request opcode": (wire.control_request(5, wire.Op.PING), "unexpected reply opcode 0x20"),
+    "request id": (wire.ok_reply(6, b"body"), "reply id 6 does not match request 5"),
+    "empty err": (wire.frame(wire.encode_header(5, None, wire.Op.ERR)), "empty error body"),
+}
+
+
+@pytest.mark.parametrize("reply, text", UNWRAP_REFUSALS.values(), ids=UNWRAP_REFUSALS)
 def test_unwrap_reply_refusals(reply, text):
     with pytest.raises(ProtocolError, match=f"^{text}$"):
         unwrap_reply(5, reply)
@@ -93,4 +102,25 @@ def test_unwrap_reply_bodies():
     assert unwrap_reply(5, OK_5) == b"body"
     with pytest.raises(ServerError) as exc:
         unwrap_reply(5, wire.err_reply(5, wire.ErrCode.ROUTING, "not mine"))
+    assert (exc.value.code, exc.value.message) == (wire.ErrCode.ROUTING, "not mine")
+
+
+# A storage reply is refused as unwrap_reply and then decode_storage_ok
+# refuse it; an OK body too short for the two counters is the one addition.
+STORAGE_REFUSALS = {**UNWRAP_REFUSALS, "short ok": (OK_5, "truncated storage reply")}
+
+
+@pytest.mark.parametrize("reply, text", STORAGE_REFUSALS.values(), ids=STORAGE_REFUSALS)
+def test_unwrap_storage_reply_refusals(reply, text):
+    with pytest.raises(ProtocolError, match=f"^{text}$"):
+        unwrap_storage_reply(5, reply)
+
+
+def test_unwrap_storage_reply_counters():
+    reply = wire.storage_ok_reply(5, 7, 9, b"result")
+    assert unwrap_storage_reply(5, reply) == (7, 9)
+    assert reply[wire.STORAGE_OK_HEAD.size:] == b"result"
+    assert unwrap_storage_reply(5, wire.storage_ok_reply(5, 0, 2**64 - 1, b"")) == (0, 2**64 - 1)
+    with pytest.raises(ServerError) as exc:
+        unwrap_storage_reply(5, wire.err_reply(5, wire.ErrCode.ROUTING, "not mine"))
     assert (exc.value.code, exc.value.message) == (wire.ErrCode.ROUTING, "not mine")

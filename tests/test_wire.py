@@ -242,6 +242,44 @@ def spread_message(words: int, seed: int) -> Message:
     return Message(MsgId(seed, seed + 1), seed + 2, seed, content, seed + 3)
 
 
+def spread_ids(n: int) -> tuple[MsgId, ...]:
+    """Ids whose fields use every byte of a u64."""
+    return tuple(MsgId((i * 0x9E3779B97F4A7C15 + 7) % 2**64, (i * 0xBF58476D1CE4E5B9 + 2**63) % 2**64)
+                 for i in range(n))
+
+
+class TestEntryCodecPins:
+    # Recorded from the codec that encoded a pair and each id with
+    # int.to_bytes, one Python call per item.
+    GOLDEN = {
+        "sequence pair": (TableId.SEQNO, SeqPair(0xF1F2F3F4F5F6F7F8, 0x0102030405060708),
+                          "02f1f2f3f4f5f6f7f80102030405060708"),
+        "no ids": (TableId.TERM, spread_ids(0), "0000000000"),
+        "one id": (TableId.TERM, spread_ids(1), "000000000100000000000000078000000000000000"),
+    }
+    GOLDEN_300_IDS_SHA256 = "23aa4924d37fa7d882c72961e1dcdc75e43a3b522e9432121d0692772b909693"
+
+    @pytest.mark.parametrize("table, entry, golden", GOLDEN.values(), ids=GOLDEN)
+    def test_golden_bytes(self, table, entry, golden):
+        data = wire.encode_entry(table, entry)
+        assert data.hex() == golden
+        assert wire.decode_entry(data) == (entry, len(data))
+
+    def test_golden_bytes_300_ids(self):
+        ids = spread_ids(300)
+        data = wire.encode_entry(TableId.INTER, ids)
+        assert len(data) == 1 + 4 + 16 * 300
+        assert hashlib.sha256(data).hexdigest() == self.GOLDEN_300_IDS_SHA256
+        assert wire.decode_entry(b"xx" + data + b"yy", 2) == (ids, 2 + len(data))
+
+    @pytest.mark.parametrize("field", [2**64, 2**70, -1], ids=["2^64", "2^70", "negative"])
+    def test_key_field_outside_u64_raises_before_a_frame_is_built(self, field):
+        cc = CcBlock(Scheme.NONE, 1, 1, 1)
+        for key in (term_key(field, 1), inter_key(1, field), message_key(field), seqno_key(field)):
+            with pytest.raises(OverflowError):
+                wire.storage_request(1, BucketId(key.table, 0), Read(key), cc)
+
+
 class TestMessageCodec:
     # id (r, s), sender, recipient, word count (u16), words, timestamp; recorded
     # from the int.to_bytes codec this struct codec replaced.

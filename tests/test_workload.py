@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -12,7 +13,7 @@ from conftest import make_cluster, make_ctx
 from helenos import cc, driver
 from helenos import workload as wl
 from helenos.cc import TxnContext, run_atomic
-from helenos.config import ScenarioConfig, TaskType, load_scenario
+from helenos.config import ScenarioConfig, TaskType, bundled_scenarios, load_scenario
 from helenos.driver import cluster_snapshot, run_in_process
 from helenos.errors import AccessSetError
 from helenos.metrics import Commit, RetryStart, TxnStart
@@ -389,7 +390,7 @@ class TestTasks:
         for r in recipients:
             wl._plan_one_send(builder, A, r, content)
         result = run_atomic(
-            rig.ctx, "send_msg", builder.plan(),
+            rig.ctx, "send_msg", builder.plan,
             lambda tx: [wl.txn_send_msg(tx, A, r, content) for r in recipients],
         )
         assert result.attempts == 1 or rig.scheme is Scheme.OCC
@@ -457,6 +458,34 @@ class TestPickTask:
             counts[wl.pick_task(cfg, rng)] += 1
         for task, p in self.STANDARD.items():
             assert abs(counts[task] / n - p) < 0.02
+
+
+def _loop_pick(cfg: ScenarioConfig, roll: float) -> TaskType:
+    """The accumulate loop that picked tasks before the bound table: the oracle."""
+    acc = 0.0
+    for task in TaskType:
+        acc += cfg.probabilities[task]
+        if roll < acc:
+            return task
+    return list(TaskType)[-1]  # floating point residue
+
+
+def _degenerate() -> ScenarioConfig:
+    probs = {t: 0.0 for t in TaskType}
+    probs[TaskType.INDEXING] = 1.0
+    return ScenarioConfig(probabilities=probs)
+
+
+@pytest.mark.parametrize("cfg", [*map(load_scenario, bundled_scenarios()), _degenerate()],
+                         ids=[*bundled_scenarios(), "degenerate"])
+def test_pick_task_picks_what_the_loop_picks(cfg):
+    # Each cumulative boundary and its neighbours, 0.0, and the largest double below 1.0.
+    rolls, acc = {0.0, math.nextafter(1.0, 0.0)}, 0.0
+    for task in TaskType:
+        acc += cfg.probabilities[task]
+        rolls.update((math.nextafter(acc, 0.0), acc, math.nextafter(acc, 2.0)))
+    for roll in sorted(r for r in rolls if 0.0 <= r < 1.0):
+        assert wl.pick_task(cfg, TestPickTask._Roll(roll)) is _loop_pick(cfg, roll), roll
 
 
 class TestRunClients:
