@@ -15,6 +15,9 @@
   bucket is handed to the successor after the last declared access.
 
 Only occ can abort; the other three always commit on the first attempt.
+An optimistic attempt aborts by raising ``OccConflict``, mid-execution when
+a read sees a changed bucket version and at validation when a read-set
+bucket fails it; ``run_atomic`` backs off and runs the next attempt.
 
 Each attempt gives back what it holds through one release ledger
 (``TxnHandle.held``), filled as each lock, latch or version is taken.
@@ -29,7 +32,6 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Any, Callable, Mapping
 
 from .errors import AccessSetError, ConfigError, RetryLimitError, TxnStateError
@@ -58,13 +60,8 @@ from .wire import (decode_entry, decode_message, decode_msgid, decode_seqpair,  
                    decode_storage_ok)
 
 
-class CommitOutcome(Enum):
-    COMMITTED = "committed"
-    ABORTED_RETRY = "aborted_retry"
-
-
 class OccConflict(Exception):
-    """Raised mid-execution when a read observes a changed bucket version."""
+    """Aborts an optimistic attempt: a bucket it read changed version."""
 
 
 @dataclass(frozen=True)
@@ -125,8 +122,8 @@ _RESULT_AT = STORAGE_OK_HEAD.size  # where a storage OK reply's result starts
 class TxnHandle:
     """Live state of one transaction attempt under one scheme. ``held`` is its
     release ledger, (release opcode, bucket) -> release argument, in the order
-    taken, which is canonical bucket order. ``outcome`` is what the commit
-    decided, set before the ledger is given back."""
+    taken, which is canonical bucket order. ``committed`` is set once the
+    commit's writes have all been sent, before the ledger is given back."""
 
     scheme = Scheme.NONE
 
@@ -136,7 +133,7 @@ class TxnHandle:
         self.attempt = attempt
         self.remaining = dict(descriptor.access)
         self.held: dict[tuple[Op, BucketId | None], int | None] = {}
-        self.outcome: CommitOutcome | None = None
+        self.committed = False
         # Op indexes 1, 2, ... in program order, from a bound count.__next__.
         self._next_op_index = itertools.count(1).__next__
         self._done = False
@@ -158,15 +155,15 @@ class TxnHandle:
         self.remaining[bucket] = left - 1
         return result
 
-    def commit(self) -> CommitOutcome:
+    def commit(self) -> None:
         if self._done:
             raise TxnStateError("transaction already committed")
         self._done = True
         try:
-            self.outcome = self._finish()
+            self._finish()
+            self.committed = True
         finally:
             self.release_held()
-        return self.outcome
 
     def abandon(self) -> None:
         """Give back whatever the attempt still holds, without committing;
@@ -177,8 +174,8 @@ class TxnHandle:
     def _perform(self, bucket: BucketId, op: StorageOp):
         raise NotImplementedError
 
-    def _finish(self) -> CommitOutcome:
-        return CommitOutcome.COMMITTED
+    def _finish(self) -> None:
+        pass
 
     # -- release ledger ----------------------------------------------------
 
@@ -331,20 +328,19 @@ class OccHandle(TxnHandle):
 
     # -- commit phase -----------------------------------------------------
 
-    def _finish(self) -> CommitOutcome:
+    def _finish(self) -> None:
         txn = self.descriptor.txn_id
         for bucket in sorted({bucket for _i, bucket, _op in self.buffer}):
             self._take(Op.OCC_LOCK, Op.OCC_UNLOCK, bucket, 0)
         for bucket in sorted(self.read_versions):
             body = self.ctx.cc_call(Op.OCC_VALIDATE, bucket, txn, self.read_versions[bucket])
             if body != b"\x01":
-                return CommitOutcome.ABORTED_RETRY
+                raise OccConflict(f"bucket {bucket} failed validation")
         # Validation passed: from here writes may land, also when the apply
         # fails part way, so every unlock bumps its bucket's version.
         self.held = dict.fromkeys(self.held, 1)
         for op_index, bucket, op in self.buffer:
             self._send_storage(bucket, op, op_index, flags=FLAG_COMMIT_APPLY)
-        return CommitOutcome.COMMITTED
 
 
 _HANDLES: dict[Scheme, type[TxnHandle]] = {
@@ -373,14 +369,14 @@ class AccessPlan(dict):
     """A declared access set, bucket -> op-count bound, that also remembers
     the bucket of each planned key (hashed with ``buckets_per_table``), so
     that the transaction body's verbs look keys up instead of hashing them
-    again. A planner fills it in place."""
+    again. A planner fills both in place."""
 
     __slots__ = ("buckets_per_table", "key_buckets")
 
-    def __init__(self, buckets_per_table: int, key_buckets: dict[TableKey, BucketId]) -> None:
+    def __init__(self, buckets_per_table: int) -> None:
         super().__init__()
         self.buckets_per_table = buckets_per_table
-        self.key_buckets = key_buckets
+        self.key_buckets: dict[TableKey, BucketId] = {}
 
 
 class TxnView:
@@ -444,32 +440,27 @@ def run_atomic(
     start = ctx.clock()
     if ctx.sink is not None:
         ctx.sink.txn_start(start, txn_id, ctx.client_id, kind)
-    attempt = 0
-    while True:
-        attempt += 1
-        if attempt > ctx.retry_limit:
-            raise RetryLimitError(
-                f"transaction {txn_id} ({kind}) exceeded {ctx.retry_limit} attempts"
-            )
+    for attempt in range(1, ctx.retry_limit + 1):
         if attempt >= 2 and ctx.sink is not None:
             ctx.sink.retry_start(ctx.clock(), txn_id, ctx.client_id, attempt)
         handle = begin(ctx, descriptor, attempt)
         try:
             payload = body(TxnView(handle, ctx.buckets_per_table, key_buckets))
-            outcome = handle.commit()
+            handle.commit()
         except OccConflict:
-            outcome = CommitOutcome.ABORTED_RETRY
+            pass  # the aborted attempt holds nothing: back off and retry
         except BaseException:
-            if handle.outcome is CommitOutcome.COMMITTED and ctx.sink is not None:
+            if handle.committed and ctx.sink is not None:
                 # The writes landed and then a release failed: the log still
                 # records the commit, so that a check sees those writes.
                 ctx.sink.commit(ctx.clock(), txn_id, ctx.client_id, attempt)
             handle.abandon()  # do not leave locks or versions behind
             raise
-        if outcome is CommitOutcome.COMMITTED:
+        else:
             end = ctx.clock()
             if ctx.sink is not None:
                 ctx.sink.commit(end, txn_id, ctx.client_id, attempt)
             return TxnResult(kind, txn_id, start, end, attempt, payload)
         window_ms = min(ctx.backoff_cap_ms, ctx.backoff_base_ms * (2 ** (attempt - 1)))
         ctx.sleep(ctx.backoff_rng.uniform(0.0, window_ms) / 1000.0)
+    raise RetryLimitError(f"transaction {txn_id} ({kind}) exceeded {ctx.retry_limit} attempts")

@@ -130,22 +130,6 @@ def decode_key(data: bytes, off: int = 0) -> tuple[TableKey, int]:
     return _tuple_new(TableKey, (table, fields.unpack_from(data, off + 1))), end
 
 
-# Bytes of a key encoding, tag included, by tag byte.
-_KEY_SIZE_BY_TAG = {table.value: 1 + 8 * arity for table, arity in KEY_ARITY.items()}
-
-
-def key_end(data: bytes, off: int = 0) -> int:
-    """Where the key encoded at ``off`` ends, from its tag alone; refuses what
-    ``decode_key`` refuses, with the same texts."""
-    if off >= len(data):
-        raise ProtocolError("empty key encoding")
-    size = _KEY_SIZE_BY_TAG.get(data[off])
-    if size is None:
-        raise ProtocolError(f"unknown table tag {data[off]}")
-    if len(data) - off < size:
-        raise ProtocolError("truncated key encoding")
-    return off + size
-
 
 class MsgId(NamedTuple):
     """Message identifier: the recipient's inbox plus a sequence number."""

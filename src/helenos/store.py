@@ -26,7 +26,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import wire
 from .errors import ProtocolError, RoutingError
@@ -38,7 +38,7 @@ from .model import (
     RingLayout,
     TableId,
     TableKey,
-    key_end,
+    decode_key,
 )
 from .wire import HEAD_SIZE, Append, ErrCode, Op, Scheme, StorageOp, TableEntry
 
@@ -265,22 +265,26 @@ def pack_snapshot(entries: list[tuple[bytes, bytes]]) -> bytes:
     return SNAPSHOT_MAGIC + len(entries).to_bytes(8, "big") + body
 
 
-def unpack_snapshot(dump: bytes) -> list[tuple[bytes, bytes]]:
-    """The (key encoding, entry encoding) pairs of a dump, found by walking
-    each key's and entry's length once; nothing is decoded."""
+def walk_snapshot(dump: bytes) -> Iterator[tuple[bytes, bytes, TableKey, TableEntry]]:
+    """Each entry of a dump as (key encoding, entry encoding, key, entry): the
+    one snapshot reader, behind ``merge_snapshots`` and the checker. It walks
+    the dump once with the key and entry decoders that read frames."""
     if dump[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
         raise ProtocolError("bad snapshot header")
     off = len(SNAPSHOT_MAGIC) + 8
     count = int.from_bytes(dump[len(SNAPSHOT_MAGIC) : off], "big")
-    entries = []
     for _ in range(count):
-        split = key_end(dump, off)
-        end = wire.entry_end(dump, split)
-        entries.append((dump[off:split], dump[split:end]))
+        key, split = decode_key(dump, off)
+        entry, end = wire.decode_entry(dump, split)
+        yield dump[off:split], dump[split:end], key, entry
         off = end
     if off != len(dump):
         raise ProtocolError("trailing bytes in snapshot")
-    return entries
+
+
+def unpack_snapshot(dump: bytes) -> list[tuple[bytes, bytes]]:
+    """The (key encoding, entry encoding) pairs of a dump."""
+    return [(key_enc, entry_enc) for key_enc, entry_enc, _, _ in walk_snapshot(dump)]
 
 
 def merge_snapshots(dumps: list[bytes]) -> bytes:

@@ -25,6 +25,7 @@ from .wire import (
     decode_storage_ok,
     err_reply,
     open_frame,
+    oversize_error,
 )
 
 _OK, _ERR = Op.OK.value, Op.ERR.value
@@ -123,7 +124,7 @@ def read_frame_from(sock: socket.socket) -> bytes:
     header = read_exact(sock, 4)
     (length,) = struct.unpack(">I", header)
     if length > MAX_FRAME:
-        raise ProtocolError(f"frame payload of {length} bytes exceeds limit")
+        raise oversize_error(length)
     return header + read_exact(sock, length)
 
 
@@ -150,8 +151,13 @@ class TcpTransport:
 
     def request(self, node_id: str, frame_bytes: bytes) -> bytes:
         sock = self._conn(node_id)
-        sock.sendall(frame_bytes)
-        return read_frame_from(sock)
+        try:
+            sock.sendall(frame_bytes)
+            return read_frame_from(sock)
+        except BaseException:
+            # A late reply may still come on it: the next request reconnects.
+            self._conns.pop(node_id).close()
+            raise
 
     def close(self) -> None:
         for sock in self._conns.values():
@@ -166,7 +172,8 @@ class TcpNodeServer:
     """Serves one node over TCP, one thread per connection.
 
     ``stop`` (or a SHUTDOWN frame) drains in-flight requests before the
-    listener exits.
+    listener exits, and shuts the read side of every open connection, so an
+    idle one ends while one serving a frame still sends its reply.
     """
 
     def __init__(self, node: Node, host: str, port: int) -> None:
@@ -176,7 +183,7 @@ class TcpNodeServer:
         self._listener.bind((host, port))
         self._listener.listen(128)
         self.host, self.port = self._listener.getsockname()[:2]
-        self._threads: list[threading.Thread] = []
+        self._threads: dict[threading.Thread, socket.socket] = {}
         self._accept_thread: threading.Thread | None = None
 
     def serve_forever(self) -> None:
@@ -192,12 +199,17 @@ class TcpNodeServer:
                     break
                 # Finished connections are dropped here, so a long-lived
                 # node keeps one thread object per open connection only.
-                self._threads = [t for t in self._threads if t.is_alive()]
+                self._threads = {t: c for t, c in self._threads.items() if t.is_alive()}
                 t = threading.Thread(target=self._serve_conn, args=(conn,), daemon=True)
                 t.start()
-                self._threads.append(t)
+                self._threads[t] = conn
         finally:
             self._listener.close()
+            for conn in self._threads.values():
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:  # its thread already closed it
+                    pass
             for t in self._threads:
                 t.join(timeout=30.0)
 
@@ -217,10 +229,10 @@ class TcpNodeServer:
                     frame_bytes = read_frame_from(conn)
                 except (ConnectionError, OSError):
                     return
-                except ProtocolError:
+                except ProtocolError as exc:
                     # Unrecoverable stream state: report and drop the peer.
                     try:
-                        conn.sendall(err_reply(0, ErrCode.MALFORMED, "frame exceeds size limit"))
+                        conn.sendall(err_reply(0, ErrCode.MALFORMED, str(exc)))
                     except OSError:
                         pass
                     return

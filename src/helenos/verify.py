@@ -42,11 +42,10 @@ from .model import (
     SeqPair,
     TableId,
     TableKey,
-    decode_key,
     inter_key,
 )
-from .store import unpack_snapshot
-from .wire import OP_SPECS, SPEC_BY_KIND, apply_op, decode_entry, default_entry, store_entry
+from .store import walk_snapshot
+from .wire import OP_SPECS, SPEC_BY_KIND, apply_op, default_entry, store_entry
 
 State = dict[TableKey, object]
 
@@ -106,12 +105,7 @@ def build_history(events: list[Event]) -> History:
 
 
 def state_from_snapshot(dump: bytes) -> State:
-    state: State = {}
-    for key_enc, entry_enc in unpack_snapshot(dump):
-        key, _ = decode_key(key_enc)
-        entry, _ = decode_entry(entry_enc)
-        state[key] = entry
-    return state
+    return {key: entry for _, _, key, entry in walk_snapshot(dump)}
 
 
 def _normalized(state: State) -> State:

@@ -223,7 +223,6 @@ class CcBlock(NamedTuple):
 # ---------------------------------------------------------------------------
 # Item / entry codecs
 
-_U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _U64_PAIR = struct.Struct(">QQ")
@@ -355,40 +354,6 @@ def decode_entry(data: bytes, off: int = 0) -> tuple[TableEntry, int]:
     return tuple(items), off
 
 
-def entry_end(data: bytes, off: int = 0) -> int:
-    """Where the entry encoded at ``off`` ends, found from its kind, its item
-    count and each message's word count without decoding any item. Refuses
-    what ``decode_entry`` refuses, with the same texts."""
-    if len(data) - off < 1:
-        raise ProtocolError("truncated entry")
-    row = _ROW_BY_KIND.get(data[off])
-    if row is None:
-        raise ProtocolError(f"unknown entry kind {data[off]}")
-    off += 1
-    if row is _SEQPAIR:
-        if len(data) - off < 16:
-            raise ProtocolError("truncated sequence pair")
-        return off + 16
-    if len(data) - off < 4:
-        raise ProtocolError("truncated entry count")
-    (count,) = _U32.unpack_from(data, off)
-    off += 4
-    if row is _MSGIDS:
-        if len(data) - off < 16 * count:
-            raise ProtocolError("truncated MsgId")
-        return off + 16 * count
-    size = len(data)
-    for _ in range(count):
-        left = size - off
-        if left < 34:
-            raise ProtocolError("truncated MsgId" if left < 16 else "truncated message")
-        (nwords,) = _U16.unpack_from(data, off + 32)
-        off += 42 + 8 * nwords
-        if off > size:
-            raise ProtocolError("truncated message content")
-    return off
-
-
 def _encode_append(op: Append) -> bytes:
     table, item = op.key.table, op.item
     _check_append_item(table, item)  # refused before anything is sent
@@ -470,13 +435,14 @@ HEAD_SIZE = _FRAME_HEAD.size  # where a frame's body starts
 _OK = Op.OK.value
 
 
-def _oversize(n: int) -> ProtocolError:
+def oversize_error(n: int) -> ProtocolError:
+    """The refusal of a frame whose stated payload exceeds ``MAX_FRAME``."""
     return ProtocolError(f"frame payload of {n} bytes exceeds limit")
 
 
 def frame(payload: bytes) -> bytes:
     if len(payload) > MAX_FRAME:
-        raise _oversize(len(payload))
+        raise oversize_error(len(payload))
     return _U32.pack(len(payload)) + payload
 
 
@@ -486,7 +452,7 @@ def split_frame(data: bytes) -> bytes:
         raise ProtocolError("truncated frame length")
     (n,) = _U32.unpack_from(data, 0)
     if n > MAX_FRAME:
-        raise _oversize(n)
+        raise oversize_error(n)
     if len(data) != 4 + n:
         raise ProtocolError("frame length mismatch")
     return data[4:]
@@ -503,7 +469,7 @@ def open_frame(data: bytes) -> tuple[int, int, int, int, int]:
     head = _FRAME_HEAD.unpack_from(data)
     n = head[0]
     if n > MAX_FRAME:
-        raise _oversize(n)
+        raise oversize_error(n)
     if len(data) != 4 + n:
         raise ProtocolError("frame length mismatch")
     return head
@@ -569,7 +535,7 @@ def storage_request(request_id: int, bucket: BucketId, op: StorageOp, cc: tuple)
         body += spec.encode_arg(op)
     n = _STORAGE_PAYLOAD + len(body)
     if n > MAX_FRAME:
-        raise _oversize(n)
+        raise oversize_error(n)
     return _STORAGE_HEAD.pack(n, request_id, bucket.table, bucket.index, spec.opcode, *cc) + body
 
 
@@ -597,7 +563,7 @@ def control_request(request_id: int, opcode: Op) -> bytes:
 def ok_reply(request_id: int, body: bytes = b"") -> bytes:
     n = _HEADER.size + len(body)
     if n > MAX_FRAME:
-        raise _oversize(n)
+        raise oversize_error(n)
     return _FRAME_HEAD.pack(n, request_id, GLOBAL_TAG, 0, _OK) + body
 
 
@@ -637,7 +603,7 @@ def storage_ok_reply(request_id: int, bucket_seq: int, version: int, result: byt
     ``ok_reply(request_id, storage_ok_body(bucket_seq, version, result))``."""
     n = _STORAGE_OK_PAYLOAD + len(result)
     if n > MAX_FRAME:
-        raise _oversize(n)
+        raise oversize_error(n)
     return STORAGE_OK_HEAD.pack(n, request_id, GLOBAL_TAG, 0, _OK, bucket_seq, version) + result
 
 

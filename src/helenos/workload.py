@@ -5,7 +5,8 @@ of the transaction's parameters, computable before begin) and a body that
 issues the storage operations through a live transaction view. Table
 lookups are direct keyed accesses, so every touched key is known up
 front; this is what lets the lock-ordering and versioning schemes declare
-their access sets a priori.
+their access sets a priori. A planner returns the ``AccessPlan`` it fills,
+which also gives the body's verbs the bucket of each planned key.
 
 A task is a client-level unit of work composing one or more transactions
 plus local processing.
@@ -21,7 +22,6 @@ from typing import Any, Iterable, Sequence
 from .cc import AccessPlan, TxnContext, TxnResult, TxnView, run_atomic
 from .config import ScenarioConfig, TaskType
 from .model import (
-    BucketId,
     Message,
     MsgId,
     SeqPair,
@@ -36,20 +36,18 @@ from .model import (
 Plan = AccessPlan
 
 
-class _PlanBuilder:
-    """Accumulates an access set in ``plan``, hashing each distinct key once."""
+class _PlanBuilder(AccessPlan):
+    """The plan a planner returns, filled key by key; each distinct key is
+    hashed once."""
 
-    def __init__(self, buckets_per_table: int) -> None:
-        self._buckets = buckets_per_table
-        self.key_buckets: dict[TableKey, BucketId] = {}
-        self.plan = AccessPlan(buckets_per_table, self.key_buckets)
+    __slots__ = ()
 
     def add(self, key: TableKey, n: int = 1) -> None:
-        bucket = self.key_buckets.get(key)
+        key_buckets = self.key_buckets
+        bucket = key_buckets.get(key)
         if bucket is None:
-            bucket = self.key_buckets[key] = bucket_of(key, self._buckets)
-        plan = self.plan
-        plan[bucket] = plan.get(bucket, 0) + n
+            bucket = key_buckets[key] = bucket_of(key, self.buckets_per_table)
+        self[bucket] = self.get(bucket, 0) + n
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +60,7 @@ def plan_get_association(b: int, u1: int, u2: int) -> Plan:
     p.add(inter_key(u2, u1))
     p.add(seqno_key(u1))
     p.add(seqno_key(u2))
-    return p.plan
+    return p
 
 
 def txn_get_association(tx: TxnView, u1: int, u2: int) -> tuple[list[MsgId], list[SeqPair]]:
@@ -76,7 +74,7 @@ def plan_get_by_keyword(b: int, user: int, keywords: Iterable[int]) -> Plan:
     p = _PlanBuilder(b)
     for kw in sorted(set(keywords)):
         p.add(term_key(user, kw))
-    return p.plan
+    return p
 
 
 def txn_get_by_keyword(tx: TxnView, user: int, keywords: Iterable[int]) -> set[MsgId]:
@@ -91,7 +89,7 @@ def plan_get_conversation(b: int, sender: int, recipient: int, both: bool = Fals
     p.add(inter_key(sender, recipient))
     if both:
         p.add(inter_key(recipient, sender))
-    return p.plan
+    return p
 
 
 def txn_get_conversation(tx: TxnView, sender: int, recipient: int,
@@ -106,7 +104,7 @@ def plan_get_messages(b: int, ids: Sequence[MsgId]) -> Plan:
     p = _PlanBuilder(b)
     for recipient in _distinct(m.recipient for m in ids):
         p.add(message_key(recipient))
-    return p.plan
+    return p
 
 
 def txn_get_messages(tx: TxnView, ids: Sequence[MsgId]) -> list[Message]:
@@ -132,7 +130,7 @@ def plan_index_messages(b: int, queries: dict[int, set[int]]) -> Plan:
     for user in sorted(queries):
         p.add(message_key(user))  # upper bound: read even if no hits
         p.add(seqno_key(user))
-    return p.plan
+    return p
 
 
 def txn_index_messages(tx: TxnView, queries: dict[int, set[int]],
@@ -156,7 +154,7 @@ def txn_index_messages(tx: TxnView, queries: dict[int, set[int]],
 def plan_reset_cutoff(b: int, user: int) -> Plan:
     p = _PlanBuilder(b)
     p.add(seqno_key(user), 2)
-    return p.plan
+    return p
 
 
 def txn_reset_cutoff(tx: TxnView, user: int) -> SeqPair:
@@ -168,7 +166,7 @@ def txn_reset_cutoff(tx: TxnView, user: int) -> SeqPair:
 def plan_send_msg(b: int, sender: int, recipient: int, content: Sequence[int]) -> Plan:
     p = _PlanBuilder(b)
     _plan_one_send(p, sender, recipient, content)
-    return p.plan
+    return p
 
 
 def _plan_one_send(p: _PlanBuilder, sender: int, recipient: int,
@@ -201,7 +199,7 @@ def plan_remove_messages(b: int, messages: Sequence[Message]) -> Plan:
         p.add(inter_key(m.sender, m.recipient))
         p.add(inter_key(m.recipient, m.sender))
         p.add(message_key(m.recipient))
-    return p.plan
+    return p
 
 
 def txn_remove_messages(tx: TxnView, messages: Sequence[Message]) -> None:
@@ -223,7 +221,7 @@ def plan_import_messages(b: int, messages: Sequence[Message]) -> Plan:
         p.add(inter_key(m.recipient, m.sender))
         for kw in m.keywords():
             p.add(term_key(m.recipient, kw))
-    return p.plan
+    return p
 
 
 def txn_import_messages(tx: TxnView, messages: Sequence[Message],
@@ -358,7 +356,7 @@ class ClientRuntime:
         def body(tx: TxnView) -> list[MsgId]:
             return [txn_send_msg(tx, sender, r, content) for r in recipients]
 
-        result = run_atomic(self.ctx, "send_msg", builder.plan, body)
+        result = run_atomic(self.ctx, "send_msg", builder, body)
         for mid in result.payload:
             self._bump_est(mid.recipient, mid.seq)
         return TaskOutcome(TaskType.SEND_MULTICAST, [result])

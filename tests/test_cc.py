@@ -11,7 +11,7 @@ import pytest
 from conftest import make_cluster, make_ctx
 from helenos import wire
 from helenos.cc import (
-    CommitOutcome,
+    OccConflict,
     TxnDescriptor,
     TxnView,
     begin,
@@ -41,6 +41,15 @@ B = 8
 
 def seq_bucket(user: int) -> BucketId:
     return bucket_of(seqno_key(user), B)
+
+
+def commit_outcome(handle) -> str:
+    """'committed', or 'aborted_retry' when the commit raises ``OccConflict``."""
+    try:
+        handle.commit()
+    except OccConflict:
+        return "aborted_retry"
+    return "committed"
 
 
 class TestDescriptors:
@@ -411,7 +420,7 @@ class TestOcc:
         cluster = make_cluster(2)
         bucket = seq_bucket(1)
         barrier = threading.Barrier(2)
-        outcomes: list[CommitOutcome] = []
+        outcomes: list[str] = []
         lock = threading.Lock()
 
         def worker(client_id: int) -> None:
@@ -419,7 +428,7 @@ class TestOcc:
             handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), {bucket: 1}))
             handle.access(bucket, IncrSeq(seqno_key(1)))
             barrier.wait()
-            outcome = handle.commit()
+            outcome = commit_outcome(handle)
             with lock:
                 outcomes.append(outcome)
 
@@ -428,7 +437,7 @@ class TestOcc:
             t.start()
         for t in threads:
             t.join()
-        assert sorted(o.value for o in outcomes) == ["aborted_retry", "committed"]
+        assert sorted(outcomes) == ["aborted_retry", "committed"]
 
     def test_lost_update_impossible(self):
         cluster = make_cluster(2)
@@ -452,7 +461,6 @@ class TestOcc:
         assert final.payload == SeqPair(per_client * clients, 0)
 
     def test_mixed_version_reads_rejected_eagerly(self):
-        from helenos.cc import OccConflict
         from helenos.model import TableKey, TableId
 
         cluster = make_cluster(2)
@@ -515,7 +523,7 @@ class TestOcc:
         bx, by = seq_bucket(1), seq_bucket(2)
         assert bx != by
         barrier = threading.Barrier(2)
-        results: list[CommitOutcome] = []
+        results: list[str] = []
         lock = threading.Lock()
 
         def worker(client_id: int, read_key, read_bucket, write_key, write_bucket) -> None:
@@ -525,7 +533,7 @@ class TestOcc:
             observed = handle.access(read_bucket, Read(read_key))
             barrier.wait()
             handle.access(write_bucket, WriteSeq(write_key, SeqPair(observed.current + 1, 0)))
-            outcome = handle.commit()
+            outcome = commit_outcome(handle)
             with lock:
                 results.append(outcome)
 
@@ -533,7 +541,7 @@ class TestOcc:
         tb = threading.Thread(target=worker, args=(1, ky, by, kx, bx))
         ta.start(), tb.start()
         ta.join(10.0), tb.join(10.0)
-        assert CommitOutcome.ABORTED_RETRY in results, "write skew committed"
+        assert "aborted_retry" in results, "write skew committed"
 
 
 class TestRunAtomic:
@@ -787,7 +795,9 @@ def test_failed_validation_frame_order():
     handle.access(B2, IncrSeq(K2))
     competitor = make_ctx(cluster, Scheme.OCC, client_id=1)
     run_atomic(competitor, "bump", {B1: 1}, lambda tx: tx.incr_seq(K1))
-    assert handle.commit() is CommitOutcome.ABORTED_RETRY
+    with pytest.raises(OccConflict, match="failed validation$"):
+        handle.commit()
+    assert not handle.committed
     assert recorder.trace == [
         (Op.READ, B1, 0), (Op.READ, B2, 0), (Op.OCC_LOCK, B2, None),
         (Op.OCC_VALIDATE, B2, 0), (Op.OCC_VALIDATE, B1, 0), (Op.OCC_UNLOCK, B2, 0)]

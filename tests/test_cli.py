@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 import signal
@@ -388,6 +389,18 @@ class TestRepetitionSeeds:
         assert all(runs[i] != runs[j] for i in range(3) for j in range(i + 1, 3))
         # The step this replaces: seed + 1 hands the same streams to other clients.
         assert client_streams(cfg.seed + 1) == runs[0]
+
+
+# sha256 of the snapshot of ``helenos run --config standard --in-process 4
+# --scheme glock --seed 7``. Glock runs its clients round-robin on one thread,
+# so the seed fixes the snapshot, and this hash is frozen.
+GLOCK_SEED_7_SHA256 = "e5431115c279dc7ae863ba30ef4a040276624475438415931c4a573f720d6e08"
+
+
+def test_frozen_glock_snapshot_hash():
+    cfg = replace(load_scenario("standard"), nodes=4, endpoints=(), scheme=Scheme.GLOCK, seed=7)
+    artifacts = run_in_process(cfg)
+    assert hashlib.sha256(artifacts.snapshot).hexdigest() == GLOCK_SEED_7_SHA256
 
 
 def test_python_dash_m_runs_the_cli():

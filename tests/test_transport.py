@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import socket
+import threading
 import time
 
 import pytest
 
 from helenos import wire
 from helenos.errors import ProtocolError, ServerError
-from helenos.model import RingLayout
+from helenos.model import RingLayout, bucket_of, seqno_key
 from helenos.store import Node
 from helenos.transport import (
     TcpNodeServer,
@@ -39,6 +41,97 @@ def test_finished_connections_are_dropped():
         stopped_in = time.monotonic() - started
     assert not server._accept_thread.is_alive()
     assert stopped_in < 5.0
+
+
+def _served(sleep=time.sleep) -> TcpNodeServer:
+    """A started server for a one-node ring, whose injected delay calls ``sleep``."""
+    server = TcpNodeServer(Node("node0", RingLayout.from_node_ids(["node0"]), sleep=sleep),
+                           "127.0.0.1", 0)
+    server.start()
+    return server
+
+
+def _delayed_read(request_id: int) -> bytes:
+    """A read that asks the node for an injected delay."""
+    key = seqno_key(1)
+    return wire.storage_request(request_id, bucket_of(key, 8), wire.Read(key),
+                                wire.CcBlock(wire.Scheme.NONE, 1, 1, 1, delay_ms=1))
+
+
+def test_failed_request_drops_its_connection():
+    release = threading.Event()
+    server = _served(sleep=lambda _seconds: release.wait(10.0))
+    transport = TcpTransport({"node0": (server.host, server.port)}, timeout=0.3)
+    try:
+        with pytest.raises(socket.timeout):
+            transport.request("node0", _delayed_read(1))
+        release.set()  # the node now sends its late reply to request 1
+        reply = transport.request("node0", wire.control_request(2, wire.Op.PING))
+        assert unwrap_reply(2, reply) == b"PONG"
+    finally:
+        release.set()
+        transport.close()
+        server.stop()
+
+
+def test_stop_does_not_wait_for_an_idle_connection():
+    server = _served()
+    transport = TcpTransport({"node0": (server.host, server.port)}, timeout=10.0)
+    try:
+        reply = transport.request("node0", wire.control_request(1, wire.Op.PING))
+        assert unwrap_reply(1, reply) == b"PONG"
+        started = time.monotonic()
+        server.stop()
+        stopped_in = time.monotonic() - started
+    finally:
+        transport.close()
+    assert not server._accept_thread.is_alive()
+    assert stopped_in < 5.0
+
+
+def test_request_in_flight_at_stop_gets_its_reply():
+    sleeping, release = threading.Event(), threading.Event()
+
+    def sleep(_seconds: float) -> None:
+        sleeping.set()
+        release.wait(10.0)
+
+    server = _served(sleep=sleep)
+    transport = TcpTransport({"node0": (server.host, server.port)}, timeout=10.0)
+    replies: list[bytes] = []
+    client = threading.Thread(
+        target=lambda: replies.append(transport.request("node0", _delayed_read(1))))
+    stopper = threading.Thread(target=server.stop)
+    try:
+        client.start()
+        assert sleeping.wait(5.0)
+        stopper.start()
+        deadline = time.monotonic() + 5.0
+        while server._listener.fileno() != -1 and time.monotonic() < deadline:
+            time.sleep(0.01)  # the accept loop has ended: read sides are being shut
+        time.sleep(0.1)
+    finally:
+        release.set()
+        client.join(5.0)
+        stopper.join(10.0)
+        transport.close()
+    assert not client.is_alive() and not stopper.is_alive()
+    assert unwrap_storage_reply(1, replies[0]) == (1, 0)
+
+
+def test_oversize_frame_gets_the_loopback_reply_then_a_close():
+    prefix = (wire.MAX_FRAME + 1).to_bytes(4, "big")
+    server = _served()
+    try:
+        loopback = server.node.handle_frame(prefix + bytes(wire.HEAD_SIZE - 4))
+        assert loopback == wire.err_reply(
+            0, wire.ErrCode.MALFORMED, f"frame payload of {wire.MAX_FRAME + 1} bytes exceeds limit")
+        with socket.create_connection((server.host, server.port), timeout=10.0) as sock:
+            sock.sendall(prefix)
+            assert read_frame_from(sock) == loopback
+            assert sock.recv(1) == b""
+    finally:
+        server.stop()
 
 
 class ChunkedSocket:

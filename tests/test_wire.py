@@ -326,33 +326,3 @@ class TestMessageCodec:
         with pytest.raises(OverflowError):
             wire.storage_request(1, BucketId(TableId.MESSAGE, 0),
                                  Append(message_key(3), msg), cc)
-
-
-ENTRIES = [
-    (TableId.SEQNO, SeqPair(7, 3)),
-    (TableId.TERM, ()),
-    (TableId.INTER, tuple(msgids(5, 4))),
-    (TableId.MESSAGE, ()),
-    (TableId.MESSAGE, (spread_message(0, 1), spread_message(1, 2), spread_message(300, 3))),
-]
-
-
-@pytest.mark.parametrize("table, entry", ENTRIES,
-                         ids=["seqpair", "empty ids", "ids", "no messages", "messages"])
-def test_entry_end_is_where_decode_entry_ends(table, entry):
-    data = b"ab" + wire.encode_entry(table, entry) + b"cd"
-    assert wire.entry_end(data, 2) == wire.decode_entry(data, 2)[1] == len(data) - 2
-
-
-@pytest.mark.parametrize("table, entry", ENTRIES,
-                         ids=["seqpair", "empty ids", "ids", "no messages", "messages"])
-def test_entry_end_refuses_what_decode_entry_refuses(table, entry):
-    data = wire.encode_entry(table, entry)
-    for cut in range(len(data)):
-        with pytest.raises(ProtocolError) as decoded:
-            wire.decode_entry(data[:cut])
-        with pytest.raises(ProtocolError) as walked:
-            wire.entry_end(data[:cut])
-        assert str(walked.value) == str(decoded.value), cut
-    with pytest.raises(ProtocolError, match="^unknown entry kind 9$"):
-        wire.entry_end(b"\x09" + data[1:])

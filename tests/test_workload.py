@@ -390,7 +390,7 @@ class TestTasks:
         for r in recipients:
             wl._plan_one_send(builder, A, r, content)
         result = run_atomic(
-            rig.ctx, "send_msg", builder.plan,
+            rig.ctx, "send_msg", builder,
             lambda tx: [wl.txn_send_msg(tx, A, r, content) for r in recipients],
         )
         assert result.attempts == 1 or rig.scheme is Scheme.OCC
