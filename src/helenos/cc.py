@@ -117,6 +117,7 @@ class TxnContext:
 
 
 _RESULT_AT = STORAGE_OK_HEAD.size  # where a storage OK reply's result starts
+_VER_RELEASE = Op.VER_RELEASE  # read per pesv access: an Enum member lookup is slow
 
 
 class TxnHandle:
@@ -252,18 +253,16 @@ class FglHandle(TxnHandle):
 
 
 class PesvHandle(TxnHandle):
-    scheme = Scheme.PESV
+    """A bucket's private version lives in the release ledger, from begin
+    until the access after which the node releases it."""
 
-    def __init__(self, ctx: TxnContext, descriptor: TxnDescriptor, attempt: int) -> None:
-        super().__init__(ctx, descriptor, attempt)
-        self.versions: dict[BucketId, int] = {}
+    scheme = Scheme.PESV
 
     def begin(self) -> None:
         order = sorted(self.descriptor.access)
         for bucket in order:
             body = self._take(Op.SUP_TAKE, Op.SUP_UNLATCH, bucket)
-            version = self.versions[bucket] = int.from_bytes(body[:8], "big")
-            self.held[Op.VER_RELEASE, bucket] = version
+            self.held[_VER_RELEASE, bucket] = int.from_bytes(body[:8], "big")
         for bucket in order:
             self._give_back(Op.SUP_UNLATCH, bucket)
 
@@ -271,21 +270,22 @@ class PesvHandle(TxnHandle):
         last = self.remaining[bucket] == 1
         flags = FLAG_RELEASE_AFTER if last else 0
         result = self._send_storage(bucket, op, self._next_op_index(), flags,
-                                    self.versions[bucket])[0]
+                                    self.held[_VER_RELEASE, bucket])[0]
         if last:  # the node released the version after this access
-            del self.held[Op.VER_RELEASE, bucket]
+            del self.held[_VER_RELEASE, bucket]
         return result
 
 
 class OccHandle(TxnHandle):
+    """``buffer`` holds the writes, (op_index, bucket, op) in program order,
+    that commit publishes; a read applies those on its key to what it read."""
+
     scheme = Scheme.OCC
 
     def __init__(self, ctx: TxnContext, descriptor: TxnDescriptor, attempt: int) -> None:
         super().__init__(ctx, descriptor, attempt)
         self.read_versions: dict[BucketId, int] = {}
-        # Buffered mutations in program order: (op_index, bucket, op).
         self.buffer: list[tuple[int, BucketId, StorageOp]] = []
-        self._overlay: dict[TableKey, list[StorageOp]] = {}
 
     # -- execution phase -------------------------------------------------
 
@@ -299,7 +299,8 @@ class OccHandle(TxnHandle):
         if spec.writes:
             # A write that observed its entry (an increment) is published at
             # commit as the pair this attempt computed from its validated read.
-            self._buffer_op(bucket, WriteSeq(op.key, new) if spec.observes else op)
+            self.buffer.append((self._next_op_index(), bucket,
+                                WriteSeq(op.key, new) if spec.observes else op))
         return result
 
     def _overlaid_read(self, bucket: BucketId, key: TableKey):
@@ -312,8 +313,9 @@ class OccHandle(TxnHandle):
         elif seen != version:
             raise OccConflict(f"bucket {bucket} changed mid-transaction")
         value = committed
-        for op in self._overlay.get(key, ()):
-            value, _ = apply_op(value, op)
+        for _op_index, _bucket, op in self.buffer:
+            if op.key == key:
+                value = apply_op(value, op)[0]
         # Recorded as observed: the transaction's logical read includes its
         # own buffered writes.
         ctx = self.ctx
@@ -321,10 +323,6 @@ class OccHandle(TxnHandle):
             ctx.sink.bucket_op(ctx.clock(), self.descriptor.txn_id, ctx.client_id, self.attempt,
                                bucket, op_index, OP_SPECS[Read].kind, key, value, bucket_seq)
         return value
-
-    def _buffer_op(self, bucket: BucketId, op: StorageOp) -> None:
-        self.buffer.append((self._next_op_index(), bucket, op))
-        self._overlay.setdefault(op.key, []).append(op)
 
     # -- commit phase -----------------------------------------------------
 

@@ -7,7 +7,6 @@ failure. Set HELENOS_LOG=debug|info|warning to control verbosity.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import logging
 import os
 import signal
@@ -17,7 +16,7 @@ from dataclasses import replace
 from .config import ScenarioConfig, apply_overrides, bundled_scenarios, load_scenario
 from .driver import repetition_seeds, run_in_process, run_scenario
 from .errors import ConfigError, HelenosError, VerificationError
-from .metrics import REPORT_COLUMNS, read_event_log, report_row, write_event_log, write_report_csv
+from .metrics import METRIC_COLUMNS, read_event_log, report_row, write_event_log, write_report_csv
 from .model import RingLayout
 from .store import Node
 from .transport import TcpNodeServer, TcpTransport, unwrap_reply
@@ -230,33 +229,11 @@ def _execute(cfg: ScenarioConfig, in_process: int | None):
     return cfg, artifacts
 
 
-def _meta(cfg: ScenarioConfig, artifacts) -> dict[str, object]:
-    return {
-        "scenario": cfg.name,
-        "scheme": cfg.scheme.name.lower(),
-        "seed": cfg.seed,
-        "clients": cfg.clients,
-        "nodes": cfg.nodes,
-        "buckets": cfg.buckets,
-        "tasks_per_client": cfg.tasks_per_client,
-        "op_delay_ms": cfg.op_delay_ms,
-        "snapshot_sha256": hashlib.sha256(artifacts.snapshot).hexdigest(),
-    }
-
-
-_IDENTITY_COLUMNS = frozenset({
-    "scenario", "scheme", "seed", "clients", "nodes", "buckets",
-    "tasks_per_client", "op_delay_ms", "snapshot_sha256",
-})
-
-
 def _mean_row(rows: list[dict[str, object]]) -> dict[str, object]:
     out: dict[str, object] = dict(rows[0])
     out["seed"] = "mean"
     out["snapshot_sha256"] = "-"
-    for col in REPORT_COLUMNS:
-        if col in _IDENTITY_COLUMNS:
-            continue
+    for col in METRIC_COLUMNS:
         values = [r[col] for r in rows if isinstance(r.get(col), (int, float))]
         if len(values) == len(rows) and values:
             out[col] = sum(values) / len(values)
@@ -279,7 +256,7 @@ def cmd_run(args) -> int:
     for rep, seed in enumerate(repetition_seeds(base, args.repeat)):
         cfg = replace(base, seed=seed)
         cfg, artifacts = _execute(cfg, args.in_process)
-        rows.append(report_row(_meta(cfg, artifacts), artifacts.report))
+        rows.append(report_row(cfg, artifacts.report, artifacts.snapshot))
         if args.record:
             path = args.record if args.repeat == 1 else f"{args.record}.rep{rep}"
             with open(path, "w", encoding="utf-8") as fh:
@@ -316,7 +293,7 @@ def cmd_sweep(args) -> int:
         for seed in repetition_seeds(cfg_v, args.repeat):
             cfg = replace(cfg_v, seed=seed)
             cfg, artifacts = _execute(cfg, args.in_process)
-            row = report_row(_meta(cfg, artifacts), artifacts.report)
+            row = report_row(cfg, artifacts.report, artifacts.snapshot)
             row["axis"] = args.axis
             row["axis_value"] = value
             rows.append(row)

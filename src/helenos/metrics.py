@@ -16,6 +16,7 @@ attempts.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import re
@@ -23,6 +24,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
+from .config import ScenarioConfig
 from .errors import VerificationError
 from .model import KEY_ARITY, BucketId, Message, MsgId, SeqPair, TableId, TableKey
 from .wire import SPEC_BY_KIND
@@ -179,8 +181,7 @@ def aggregate(events: Iterable[Event], total_time_s: float | None = None) -> Met
     client_ends: dict[int, int] = {}
     txn_start: dict[int, TxnStart] = {}
     first_retry: dict[int, int] = {}
-    commit_at: dict[int, int] = {}
-    attempts_of: dict[int, int] = {}
+    commit_of: dict[int, Commit] = {}
     bucket_ops = 0
 
     for ev in events:
@@ -192,40 +193,39 @@ def aggregate(events: Iterable[Event], total_time_s: float | None = None) -> Met
             if ev.txn_id in txn_start:
                 raise VerificationError(f"duplicate start for txn {ev.txn_id}")
             txn_start[ev.txn_id] = ev
-            attempts_of[ev.txn_id] = 1
         elif isinstance(ev, RetryStart):
             first_retry.setdefault(ev.txn_id, ev.time_ns)
-            attempts_of[ev.txn_id] = max(attempts_of.get(ev.txn_id, 1), ev.attempt)
         elif isinstance(ev, Commit):
-            commit_at[ev.txn_id] = ev.time_ns
+            commit_of[ev.txn_id] = ev
         elif isinstance(ev, BucketOp):
             bucket_ops += 1
 
     if set(client_starts) != set(client_ends):
         raise VerificationError("incomplete stream: client start/end mismatch")
-    missing = set(txn_start) - set(commit_at)
+    missing = set(txn_start) - set(commit_of)
     if missing:
         raise VerificationError(f"incomplete stream: {len(missing)} transactions never committed")
-    orphaned = set(commit_at) - set(txn_start)
+    orphaned = set(commit_of) - set(txn_start)
     if orphaned:
         raise VerificationError(f"incomplete stream: {len(orphaned)} commits without a start")
 
-    commits = len(commit_at)
-    attempts = sum(attempts_of.get(t, 1) for t in commit_at)
+    commits = len(commit_of)
+    # The committed attempt's number, from the commit row the checker reads.
+    attempts = sum(commit.attempt for commit in commit_of.values())
     aborted = attempts - commits
 
     flow_ns: dict[str, list[int]] = {}
     total_flow = 0
     total_retry = 0
     total_startup = 0
-    for txn_id, commit_ns in commit_at.items():
+    for txn_id, commit in commit_of.items():
         start = txn_start[txn_id]
-        flow = commit_ns - start.time_ns
+        flow = commit.time_ns - start.time_ns
         total_flow += flow
         flow_ns.setdefault(start.kind, []).append(flow)
         if txn_id in first_retry:
             total_startup += first_retry[txn_id] - start.time_ns
-            total_retry += commit_ns - first_retry[txn_id]
+            total_retry += commit.time_ns - first_retry[txn_id]
         else:
             total_startup += flow
 
@@ -273,6 +273,13 @@ def aggregate(events: Iterable[Event], total_time_s: float | None = None) -> Met
 # ``separators`` builds a new encoder per call.
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 _decode_json = json.JSONDecoder().decode
+
+# The kind column's text by record class, and the class by text.
+_ROW_KINDS: dict[type, str] = {
+    BucketOp: "bucket_op", TxnStart: "txn_start", Commit: "commit",
+    RetryStart: "retry_start", ClientStart: "client_start", ClientEnd: "client_end",
+}
+_ROW_CLASSES = {kind: cls for cls, kind in _ROW_KINDS.items()}
 
 # Table names by tag: ``TableId.name`` is a property that costs a call.
 _TABLE_NAMES = tuple(table.name for table in TableId)
@@ -384,6 +391,7 @@ def write_event_log(events: Iterable[Event], out: io.TextIOBase) -> None:
     write = out.write
     for ev in events:
         cls = type(ev)
+        row = _ROW_KINDS[cls]  # a record of any other class raises
         if cls is BucketOp:
             bucket = buckets.get(ev.bucket)
             if bucket is None:
@@ -397,22 +405,16 @@ def write_event_log(events: Iterable[Event], out: io.TextIOBase) -> None:
             # The same bytes as json.dumps of {kind, i, key, value, seq}, in that
             # order, with compact separators: the event-log columns are frozen.
             write(
-                f"{ev.time_ns}\tbucket_op\t{ev.txn_id}\t{ev.client_id}\t{ev.attempt}\t{bucket}"
+                f"{ev.time_ns}\t{row}\t{ev.txn_id}\t{ev.client_id}\t{ev.attempt}\t{bucket}"
                 f'\t{{"kind":{kind},"i":{ev.op_index},"key":{key},'
                 f'"value":{_value_json(ev.value)},"seq":{ev.bucket_seq}}}\n'
             )
         elif cls is TxnStart:
-            write(f"{ev.time_ns}\ttxn_start\t{ev.txn_id}\t{ev.client_id}\t1\t-\t{ev.kind}\n")
-        elif cls is Commit:
-            write(f"{ev.time_ns}\tcommit\t{ev.txn_id}\t{ev.client_id}\t{ev.attempt}\t-\t-\n")
-        elif cls is RetryStart:
-            write(
-                f"{ev.time_ns}\tretry_start\t{ev.txn_id}\t{ev.client_id}\t{ev.attempt}\t-\t-\n"
-            )
-        elif cls is ClientStart:
-            write(f"{ev.time_ns}\tclient_start\t-\t{ev.client_id}\t-\t-\t-\n")
-        else:
-            write(f"{ev.time_ns}\tclient_end\t-\t{ev.client_id}\t-\t-\t-\n")
+            write(f"{ev.time_ns}\t{row}\t{ev.txn_id}\t{ev.client_id}\t1\t-\t{ev.kind}\n")
+        elif cls is Commit or cls is RetryStart:
+            write(f"{ev.time_ns}\t{row}\t{ev.txn_id}\t{ev.client_id}\t{ev.attempt}\t-\t-\n")
+        else:  # a client row
+            write(f"{ev.time_ns}\t{row}\t-\t{ev.client_id}\t-\t-\t-\n")
 
 
 def _placeholders(*columns: str) -> None:
@@ -449,7 +451,8 @@ def read_event_log(lines: Iterable[str]) -> list[Event]:
         time_ns, kind, txn, client, attempt, bucket, op = cols
         try:
             time_ns = _int_from_str(time_ns)
-            if kind == "bucket_op":
+            cls = _ROW_CLASSES.get(kind)
+            if cls is BucketOp:
                 m = match_op(op)
                 if m is None:
                     raise ValueError("op column is not what --record writes")
@@ -460,32 +463,29 @@ def read_event_log(lines: Iterable[str]) -> list[Event]:
                 append(BucketOp(time_ns, ints[txn], ints[client], ints[attempt],
                                 buckets[bucket], ints[op_index], spec.kind, keys[key],
                                 values[value], ints[seq]))
-            elif kind == "txn_start":
+            elif cls is TxnStart:
                 if attempt != "1":
                     raise ValueError(f"txn_start attempt reads {attempt!r}, not '1'")
                 _placeholders(bucket)
                 append(TxnStart(time_ns, ints[txn], ints[client], op))
-            elif kind == "commit":
+            elif cls is Commit or cls is RetryStart:
                 _placeholders(bucket, op)
-                append(Commit(time_ns, ints[txn], ints[client], ints[attempt]))
-            elif kind == "retry_start":
-                _placeholders(bucket, op)
-                append(RetryStart(time_ns, ints[txn], ints[client], ints[attempt]))
-            elif kind == "client_start":
-                _placeholders(txn, attempt, bucket, op)
-                append(ClientStart(time_ns, ints[client]))
-            elif kind == "client_end":
-                _placeholders(txn, attempt, bucket, op)
-                append(ClientEnd(time_ns, ints[client]))
-            else:
+                append(cls(time_ns, ints[txn], ints[client], ints[attempt]))
+            elif cls is None:
                 raise ValueError(f"unknown kind {kind!r}")
+            else:  # a client row
+                _placeholders(txn, attempt, bucket, op)
+                append(cls(time_ns, ints[client]))
         except (ValueError, TypeError) as exc:  # a column that does not parse
             raise VerificationError(f"event log line {lineno}: {exc}") from None
     return events
 
 
 # ---------------------------------------------------------------------------
-# Report CSV
+# Report CSV: its frozen columns are listed here once. The run's identity comes
+# from ScenarioConfig fields, the metrics from MetricsReport fields (renamed by
+# ``_COLUMN_OF``), then one mean flow time per transaction kind and the hash of
+# the final snapshot.
 
 TXN_KINDS = [
     "get_association", "get_by_keyword", "get_conversation", "get_messages",
@@ -493,39 +493,31 @@ TXN_KINDS = [
     "import_messages",
 ]
 
-REPORT_COLUMNS = [
-    "scenario", "scheme", "seed", "clients", "nodes", "buckets",
-    "tasks_per_client", "op_delay_ms",
+_IDENTITY_FIELDS = ("name", "scheme", "seed", "clients", "nodes", "buckets",
+                    "tasks_per_client", "op_delay_ms")
+_METRIC_FIELDS = (
     "commits", "attempts", "aborted_attempts", "abort_ratio", "retry_rate",
-    "throughput_tps", "mean_flow_time_s",
+    "throughput", "mean_flow_time_s",
     "total_txn_time_s", "total_retry_time_s", "total_startup_time_s",
     "total_bucket_ops", "total_time_s", "parallel_time_s", "txn_exec_ratio",
-    *[f"mft_{kind}_s" for kind in TXN_KINDS],
-    "snapshot_sha256",
-]
+)
+_COLUMN_OF = {"name": "scenario", "throughput": "throughput_tps"}
+# The columns a mean row averages.
+METRIC_COLUMNS = [_COLUMN_OF.get(f, f) for f in _METRIC_FIELDS] + [
+    f"mft_{kind}_s" for kind in TXN_KINDS]
+REPORT_COLUMNS = [_COLUMN_OF.get(f, f) for f in _IDENTITY_FIELDS] + METRIC_COLUMNS + [
+    "snapshot_sha256"]
 
 
-def report_row(meta: dict[str, object], report: MetricsReport) -> dict[str, object]:
-    row = dict(meta)
-    row.update(
-        commits=report.commits,
-        attempts=report.attempts,
-        aborted_attempts=report.aborted_attempts,
-        abort_ratio=report.abort_ratio,
-        retry_rate=report.retry_rate,
-        throughput_tps=report.throughput,
-        mean_flow_time_s=report.mean_flow_time_s,
-        total_txn_time_s=report.total_txn_time_s,
-        total_retry_time_s=report.total_retry_time_s,
-        total_startup_time_s=report.total_startup_time_s,
-        total_bucket_ops=report.total_bucket_ops,
-        total_time_s=report.total_time_s,
-        parallel_time_s=report.parallel_time_s,
-        txn_exec_ratio=report.txn_exec_ratio,
-    )
-    for kind in TXN_KINDS:
-        if kind in report.flow_time_by_kind:
-            row[f"mft_{kind}_s"] = report.flow_time_by_kind[kind]
+def report_row(cfg: ScenarioConfig, report: MetricsReport, snapshot: bytes) -> dict[str, object]:
+    """One run's report row, keyed by column; a transaction kind that never
+    committed leaves its ``mft_`` column out."""
+    row: dict[str, object] = {_COLUMN_OF.get(f, f): getattr(cfg, f) for f in _IDENTITY_FIELDS}
+    row["scheme"] = cfg.scheme.name.lower()
+    row.update((_COLUMN_OF.get(f, f), getattr(report, f)) for f in _METRIC_FIELDS)
+    row.update((f"mft_{kind}_s", flow) for kind, flow in report.flow_time_by_kind.items()
+               if kind in TXN_KINDS)
+    row["snapshot_sha256"] = hashlib.sha256(snapshot).hexdigest()
     return row
 
 

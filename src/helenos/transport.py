@@ -92,9 +92,6 @@ class LoopbackCluster:
     def request(self, node_id: str, frame_bytes: bytes) -> bytes:
         return self.nodes[node_id].handle_frame(frame_bytes)
 
-    def node_ids(self) -> list[str]:
-        return list(self.layout.node_ids)
-
 
 def in_process_node_ids(count: int) -> list[str]:
     if count < 1:

@@ -349,9 +349,10 @@ class TestPesv:
             ctx = make_ctx(cluster, Scheme.PESV, client_id=client_id)
             barrier.wait()
             handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), {bucket: 1}))
+            version = handle.held[Op.VER_RELEASE, bucket]  # the last access drops it
             handle.access(bucket, IncrSeq(seqno_key(3)))
             with lock:
-                completions.append(handle.versions[bucket])
+                completions.append(version)
             handle.commit()
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]

@@ -13,6 +13,8 @@ from helenos.config import load_scenario
 from helenos.driver import run_in_process
 from helenos.errors import VerificationError
 from helenos.metrics import (
+    REPORT_COLUMNS,
+    TXN_KINDS,
     BucketOp,
     ClientEnd,
     ClientStart,
@@ -136,6 +138,19 @@ class TestAggregateFixture:
         assert r.mean_flow_time_s == 2.0
         assert r.txn_exec_ratio == 1.0
 
+    def test_attempts_come_from_the_commit_row(self):
+        # No retry_start row: the commit row alone says attempt 2 committed,
+        # the attempt whose ops the checker keeps.
+        events = [
+            ClientStart(0, 0),
+            TxnStart(0, 1, 0, "probe"),
+            Commit(2 * S, 1, 0, 2),
+            ClientEnd(2 * S, 0),
+        ]
+        r = aggregate(events)
+        assert r.attempts == 2
+        assert r.aborted_attempts == 1
+
     def test_abort_ratio_zero_iff_retry_rate_one(self):
         r = aggregate(fixture_events())
         assert (r.abort_ratio == 0.0) == (r.retry_rate == 1.0)
@@ -243,6 +258,15 @@ class TestEventLogCodec:
         for line in buf.getvalue().splitlines():
             assert len(line.split("\t")) == 7
 
+    def test_unknown_record_refused(self):
+        @dataclasses.dataclass
+        class Stranger:
+            time_ns: int
+            client_id: int
+
+        with pytest.raises(KeyError):
+            write_event_log([Stranger(1, 0)], io.StringIO())
+
     def test_sink_preserves_order(self):
         sink = EventSink()
         sink.client_start(1, 0)
@@ -251,6 +275,27 @@ class TestEventLogCodec:
         sink.client_end(4, 0)
         kinds = [type(e).__name__ for e in sink.events()]
         assert kinds == ["ClientStart", "TxnStart", "Commit", "ClientEnd"]
+
+
+class TestReportColumns:
+    def test_header_is_frozen(self):
+        assert ",".join(REPORT_COLUMNS) == (
+            "scenario,scheme,seed,clients,nodes,buckets,tasks_per_client,op_delay_ms,"
+            "commits,attempts,aborted_attempts,abort_ratio,retry_rate,"
+            "throughput_tps,mean_flow_time_s,total_txn_time_s,total_retry_time_s,"
+            "total_startup_time_s,total_bucket_ops,total_time_s,parallel_time_s,"
+            "txn_exec_ratio,mft_get_association_s,mft_get_by_keyword_s,"
+            "mft_get_conversation_s,mft_get_messages_s,mft_index_messages_s,"
+            "mft_reset_cutoff_s,mft_send_msg_s,mft_remove_messages_s,"
+            "mft_import_messages_s,snapshot_sha256"
+        )
+
+    def test_every_recorded_kind_has_a_column(self):
+        # At this seed and size all nine transaction kinds occur.
+        cfg = dataclasses.replace(load_scenario("standard"), scheme=Scheme.GLOCK, seed=7,
+                                  clients=4, tasks_per_client=60)
+        events = run_in_process(cfg).events
+        assert {ev.kind for ev in events if isinstance(ev, TxnStart)} == set(TXN_KINDS)
 
 
 class TestEventRecords:
