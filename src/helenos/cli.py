@@ -20,8 +20,7 @@ from .metrics import METRIC_COLUMNS, read_event_log, report_row, write_event_log
 from .model import RingLayout
 from .store import Node
 from .transport import TcpNodeServer, TcpTransport, unwrap_reply
-from .verify import (BRUTE_FORCE_LIMIT, build_history, check_integrity, check_serializable,
-                     state_from_snapshot)
+from .verify import build_history, check_integrity, check_serializable, state_from_snapshot
 from .wire import Op, control_request
 
 log = logging.getLogger("helenos")
@@ -83,8 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a recorded run")
     p_verify.add_argument("--events", required=True, help="event log (TSV)")
     p_verify.add_argument("--snapshot", required=True, help="snapshot dump file")
-    p_verify.add_argument("--graph-mode", action="store_true",
-                          help="conflict-graph check instead of brute force")
 
     p_scen = sub.add_parser("scenarios", help="list bundled scenario files")
     del p_scen
@@ -141,8 +138,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _parse_endpoint(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host:
-        raise ConfigError(f"bad endpoint {text!r}, expected host:port")
+    if not host or not (port.isascii() and port.isdigit()) or int(port) > 0xFFFF:
+        raise ConfigError(f"bad endpoint {text!r}, expected host:port with a port in 0-65535")
     return host, int(port)
 
 
@@ -312,16 +309,7 @@ def cmd_verify(args) -> int:
         snapshot = fh.read()
     history = build_history(events)
     state = state_from_snapshot(snapshot)
-
-    if not args.graph_mode and len(history.effects) > BRUTE_FORCE_LIMIT:
-        print(
-            f"verify: {len(history.effects)} committed transactions exceed the "
-            "brute-force limit; re-run with --graph-mode",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-
-    serial = check_serializable(history, state, graph_mode=args.graph_mode)
+    serial = check_serializable(history, state)
     integrity = check_integrity(state)
 
     print(f"serializable: {'PASS' if serial.ok else 'FAIL'} ({serial.mode})")

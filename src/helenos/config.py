@@ -17,6 +17,11 @@ from .errors import ConfigError
 from .wire import SCHEME_NAMES, Scheme
 
 
+# The largest value the wire carries of each key: a request's u16 delay, a
+# message's u16 word count, and a u32 bucket index below the bucket count.
+_WIRE_LIMITS = {"op_delay_ms": 0xFFFF, "message_length": 0xFFFF, "buckets": 1 << 32}
+
+
 class TaskType(Enum):
     TERM_SEARCH = "term_search"
     INTERACTION_SEARCH = "interaction_search"
@@ -50,10 +55,6 @@ class ScenarioConfig:
     probabilities: dict[TaskType, float] = field(
         default_factory=lambda: {t: 0.125 for t in TaskType}
     )
-    retry_limit: int = 10_000
-    backoff_base_ms: float = 1.0
-    backoff_cap_ms: float = 64.0
-    import_cutoff_strict: bool = False
     endpoints: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -62,9 +63,12 @@ class ScenarioConfig:
     def validate(self) -> None:
         for name in ("nodes", "buckets", "clients", "tasks_per_client",
                      "message_length", "keyword_domain", "user_population",
-                     "query_keyword_cap", "index_cap", "retry_limit"):
+                     "query_keyword_cap", "index_cap"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for name, limit in _WIRE_LIMITS.items():
+            if getattr(self, name) > limit:
+                raise ConfigError(f"{name} must be <= {limit}, the most the wire carries")
         if self.op_delay_ms < 0:
             raise ConfigError("op_delay_ms must be >= 0")
         if self.user_population < 2:
@@ -147,19 +151,12 @@ def _parse_value(key: str, value: str, where: str) -> object:
             raise ConfigError(f"{where}: unknown scheme {value!r}") from None
     if key == "endpoints":
         return tuple(part.strip() for part in value.split(",") if part.strip())
-    if key == "import_cutoff_strict":
-        lowered = value.lower()
-        if lowered not in ("true", "false"):
-            raise ConfigError(f"{where}: {key} expects true or false")
-        return lowered == "true"
     try:
         if key in _RANGE_FIELDS:
             lo, sep, hi = value.partition("..")
             if not sep:
                 raise ConfigError(f"{where}: {key} expects lo..hi")
             return (int(lo), int(hi))
-        if key in ("backoff_base_ms", "backoff_cap_ms"):
-            return float(value)
         return int(value)
     except ValueError:
         raise ConfigError(f"{where}: bad number for {key}: {value!r}") from None
@@ -179,8 +176,6 @@ def dump_config(cfg: ScenarioConfig) -> str:
             if not value:
                 continue
             rendered = ",".join(value)
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
         else:
             rendered = str(value)
         lines.append(f"{f.name} = {rendered}")

@@ -75,9 +75,6 @@ def _make_runtime(cfg: ScenarioConfig, layout: RingLayout, transport: Transport,
         buckets_per_table=cfg.buckets,
         delay_ms=cfg.op_delay_ms,
         client_id=client_id,
-        retry_limit=cfg.retry_limit,
-        backoff_base_ms=cfg.backoff_base_ms,
-        backoff_cap_ms=cfg.backoff_cap_ms,
         backoff_rng=random.Random((cfg.seed ^ client_id) + _BACKOFF_SALT),
         sink=sink,
     )

@@ -165,7 +165,7 @@ class SupremumTable:
     """Per-bucket version turns behind a per-bucket begin latch.
 
     A transaction reserves a private version with ``take`` (the begin
-    latch is held from the first ``take`` until ``unlatch`` so that a
+    latch is held from the first ``take`` until ``SUP_UNLATCH`` so that a
     whole access set is versioned atomically), then each access waits for
     its version's turn and ``release`` hands the bucket to the next one.
     """
@@ -177,9 +177,6 @@ class SupremumTable:
     def take(self, bucket: BucketId, txn: int) -> int:
         self.latches[bucket].acquire(txn)
         return self.versions[bucket].take()
-
-    def unlatch(self, bucket: BucketId, txn: int) -> None:
-        self.latches[bucket].release(txn)
 
     def await_turn(self, bucket: BucketId, private_version: int) -> None:
         self.versions[bucket].await_turn(private_version)
@@ -480,7 +477,7 @@ _VERBS: dict[int, Callable[[Node, BucketId, int, int | None], bytes | None]] = {
     Op.FGL_LOCK: lambda node, bucket, txn, _arg: node.fgl[bucket].acquire(txn),
     Op.FGL_UNLOCK: lambda node, bucket, txn, _arg: node.fgl[bucket].release(txn),
     Op.SUP_TAKE: lambda node, bucket, txn, _arg: node.suprema.take(bucket, txn).to_bytes(8, "big"),
-    Op.SUP_UNLATCH: lambda node, bucket, txn, _arg: node.suprema.unlatch(bucket, txn),
+    Op.SUP_UNLATCH: lambda node, bucket, txn, _arg: node.suprema.latches[bucket].release(txn),
     Op.VER_RELEASE: lambda node, bucket, _txn, version: node.suprema.release(bucket, version),
     Op.OCC_LOCK: lambda node, bucket, txn, _arg: node.occ[bucket].acquire(txn),
     Op.OCC_VALIDATE: lambda node, bucket, txn, version: (

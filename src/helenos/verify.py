@@ -1,14 +1,16 @@
 """Offline correctness checks for recorded runs.
 
 ``check_serializable`` decides whether the committed transactions admit a
-sequential order that reproduces the final snapshot:
+sequential order. It runs brute force on at most ``BRUTE_FORCE_LIMIT``
+committed transactions and the conflict graph on more; ``Verdict.mode``
+names the check that ran:
 
-* brute force (small runs): depth-first search over permutations of the
-  committed transactions, replaying each transaction's recorded logical
-  effect (reads assert the observed value, mutations apply it) and
-  pruning on mismatch; memoization on (placed set, state) keeps it
-  tractable. The first witness found is returned.
-* conflict-graph mode (larger runs): builds precedence edges from the
+* brute force: depth-first search over permutations of the committed
+  transactions, replaying each transaction's recorded logical effect
+  (reads assert the observed value, mutations apply it) and pruning on
+  mismatch; memoization on (placed set, state) keeps it tractable. The
+  first order whose replay reproduces the final snapshot is returned.
+* conflict graph: builds precedence edges from the
   per-bucket server apply order, treating every op kind whose row in
   ``wire.OP_SPECS`` says ``writes`` (all but ``read``) as a write and
   refusing a kind with no row, as brute force does. It runs Kahn's
@@ -49,7 +51,7 @@ from .wire import OP_SPECS, SPEC_BY_KIND, apply_op, default_entry, store_entry
 
 State = dict[TableKey, object]
 
-# Most committed transactions brute force searches; larger runs need graph mode.
+# Most committed transactions brute force searches; larger runs get the graph check.
 BRUTE_FORCE_LIMIT = 10
 
 
@@ -286,18 +288,10 @@ def _topological(edges: dict[int, set[int]]) -> list[int] | None:
     return out if len(out) == len(indeg) else None
 
 
-def check_serializable(history: History, final_state: State,
-                       brute_force_limit: int = BRUTE_FORCE_LIMIT,
-                       graph_mode: bool = False,
-                       initial_state: State | None = None) -> Verdict:
-    if graph_mode:
-        return conflict_graph_serializable(history)
-    if len(history.effects) > brute_force_limit:
-        raise VerificationError(
-            f"{len(history.effects)} committed transactions exceed the brute-force "
-            f"limit of {brute_force_limit}; use graph mode"
-        )
-    return brute_force_serializable(history, final_state, initial_state)
+def check_serializable(history: History, final_state: State) -> Verdict:
+    if len(history.effects) <= BRUTE_FORCE_LIMIT:
+        return brute_force_serializable(history, final_state)
+    return conflict_graph_serializable(history)
 
 
 # ---------------------------------------------------------------------------

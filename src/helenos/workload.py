@@ -224,13 +224,11 @@ def plan_import_messages(b: int, messages: Sequence[Message]) -> Plan:
     return p
 
 
-def txn_import_messages(tx: TxnView, messages: Sequence[Message],
-                        strict_cutoff: bool = False) -> int:
+def txn_import_messages(tx: TxnView, messages: Sequence[Message]) -> int:
     imported = 0
     for m in messages:
         pair = tx.read(seqno_key(m.recipient))
-        below_cutoff = m.id.seq < pair.deleted if strict_cutoff else m.id.seq <= pair.deleted
-        if below_cutoff:
+        if m.id.seq <= pair.deleted:
             continue
         inbox = tx.read(message_key(m.recipient))
         if any(existing.id == m.id for existing in inbox):
@@ -378,7 +376,7 @@ class ClientRuntime:
         result = run_atomic(
             self.ctx, "import_messages",
             plan_import_messages(cfg.buckets, batch),
-            lambda tx: txn_import_messages(tx, batch, cfg.import_cutoff_strict),
+            lambda tx: txn_import_messages(tx, batch),
         )
         self._bump_est(recipient, max(m.id.seq for m in batch))
         return TaskOutcome(TaskType.BATCH_IMPORT, [result], value=result.payload)

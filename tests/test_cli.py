@@ -107,6 +107,14 @@ class TestScenarioFiles:
         with pytest.raises(ConfigError):
             parse_config(f"{key} = {value}\n")
 
+    @pytest.mark.parametrize("key, limit", [("op_delay_ms", 0xFFFF), ("message_length", 0xFFFF),
+                                            ("buckets", 1 << 32)])
+    def test_wire_limits(self, key, limit):
+        cfg = apply_overrides(load_scenario("standard"), {key: str(limit)})
+        assert getattr(cfg, key) == limit
+        with pytest.raises(ConfigError, match=f"{key} must be <= {limit}"):
+            apply_overrides(cfg, {key: str(limit + 1)})
+
     def test_bad_probabilities_rejected(self):
         text = dump_config(load_scenario("standard")).replace(
             "term_search = 0.25", "term_search = 0.5")
@@ -125,6 +133,17 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert "config error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("node", "--listen", "127.0.0.1:abc", "--node-id", "node0", "--config", "standard"),
+        ("node", "--listen", "127.0.0.1:70000", "--node-id", "node0", "--config", "standard"),
+        ("run", "--config", "standard", "--override", "nodes=1",
+         "--override", "endpoints=127.0.0.1:x"),
+    ], ids=["listen-not-a-number", "listen-past-65535", "endpoints-entry"])
+    def test_bad_endpoint_port_exits_1(self, capsys, argv):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert "bad endpoint" in err and "Traceback" not in err
 
     def test_single_client_glock_columns(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -313,8 +332,6 @@ class TestVerifyCommand:
 
         assert run_cli("verify", "--events", str(events_path),
                        "--snapshot", str(snap_path)) == 3
-        assert run_cli("verify", "--events", str(events_path),
-                       "--snapshot", str(snap_path), "--graph-mode") == 3
 
     def test_unknown_op_kind_in_a_recorded_run_exits_3(self, tmp_path, capsys):
         events = tmp_path / "events.tsv"
@@ -334,30 +351,28 @@ class TestVerifyCommand:
         lines[lineno - 1] = lines[lineno - 1].replace('"kind":"append"', '"kind":"apend"')
         events.write_text("".join(lines))
         capsys.readouterr()
-        for mode in ([], ["--graph-mode"]):
-            assert run_cli("verify", "--events", str(events), "--snapshot", str(snap),
-                           *mode) == 3
-            err = capsys.readouterr().err
-            assert f"event log line {lineno}: unknown op kind 'apend'" in err
-            assert "Traceback" not in err
+        assert run_cli("verify", "--events", str(events), "--snapshot", str(snap)) == 3
+        err = capsys.readouterr().err
+        assert f"event log line {lineno}: unknown op kind 'apend'" in err
+        assert "Traceback" not in err
 
-    def test_oversized_history_refused_without_graph_mode(self, tmp_path):
-        from helenos.metrics import ClientEnd, ClientStart, Commit, TxnStart
-
-        events = [ClientStart(0, 0)]
-        for txn in range(1, 13):
-            events.append(TxnStart(txn * 10, txn, 0, "t"))
-            events.append(Commit(txn * 10 + 5, txn, 0, 1))
-        events.append(ClientEnd(500, 0))
-        events_path = tmp_path / "events.tsv"
-        with open(events_path, "w") as fh:
-            write_event_log(events, fh)
-        snap_path = tmp_path / "state.snap"
-        snap_path.write_bytes(pack_snapshot([]))
-        assert run_cli("verify", "--events", str(events_path),
-                       "--snapshot", str(snap_path)) == 1
-        assert run_cli("verify", "--events", str(events_path),
-                       "--snapshot", str(snap_path), "--graph-mode") == 0
+    # One transaction per task at this seed: 10 commits, then 12.
+    @pytest.mark.parametrize("tasks, mode", [("5", "brute-force"), ("6", "conflict-graph")])
+    def test_recorded_run_checked_by_its_size(self, tmp_path, capsys, tasks, mode):
+        events = tmp_path / "events.tsv"
+        snap = tmp_path / "final.snap"
+        assert run_cli(
+            "run", "--config", "standard", "--in-process", "2",
+            "--scheme", "glock", "--seed", "9",
+            "--override", "clients=2", "--override", f"tasks_per_client={tasks}",
+            "--override", "op_delay_ms=0", "--override", "buckets=8",
+            "--override", "user_population=8",
+            "--record", str(events), "--snapshot-out", str(snap),
+            "--out", str(tmp_path / "r.csv"),
+        ) == 0
+        capsys.readouterr()
+        assert run_cli("verify", "--events", str(events), "--snapshot", str(snap)) == 0
+        assert f"serializable: PASS ({mode})" in capsys.readouterr().out
 
 
 class TestRepetitionSeeds:

@@ -172,12 +172,13 @@ class TestBruteForce:
         history, final = make()
         assert not brute_force_serializable(history, final).ok
 
-    def test_limit_enforced(self):
+    @pytest.mark.parametrize("txns, mode", [(10, "brute-force"), (11, "conflict-graph")])
+    def test_check_picked_by_history_size(self, txns, mode):
         effects = [TxnEffect(i, "t", i, [effect_op(1, BX, "read", KX, SeqPair(0, 0), i)])
-                   for i in range(11)]
-        history = History(effects, {})
-        with pytest.raises(VerificationError):
-            check_serializable(history, {}, brute_force_limit=10)
+                   for i in range(txns)]
+        history = History(effects, {BX: [(i, i, "read") for i in range(txns)]})
+        verdict = check_serializable(history, {})
+        assert verdict.ok and verdict.mode == mode
 
 
 @pytest.fixture

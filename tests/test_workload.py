@@ -104,10 +104,10 @@ class Rig:
             lambda tx: wl.txn_remove_messages(tx, messages),
         )
 
-    def import_batch(self, messages, strict=False) -> int:
+    def import_batch(self, messages) -> int:
         return run_atomic(
             self.ctx, "import_messages", wl.plan_import_messages(B, messages),
-            lambda tx: wl.txn_import_messages(tx, messages, strict),
+            lambda tx: wl.txn_import_messages(tx, messages),
         ).payload
 
 
@@ -339,12 +339,10 @@ class TestImportMessages:
         assert len(state[message_key(USER_B)]) == 1
         assert state[inter_key(A, USER_B)] == (MsgId(USER_B, 3),)
 
-    def test_cutoff_boundary_default_vs_strict(self, rig):
+    def test_cutoff_is_inclusive(self, rig):
         rig.seed_seq(USER_B, SeqPair(5, 5))
-        # Inclusive cutoff (default): seq == deleted is skipped.
         assert rig.import_batch([self.msg(5)]) == 0
-        # Pseudo-strict variant keeps it.
-        assert rig.import_batch([self.msg(5)], strict=True) == 1
+        assert rig.import_batch([self.msg(6)]) == 1
 
     def test_keeps_explicit_timestamp(self, rig):
         rig.import_batch([self.msg(2, ts=333)])
