@@ -416,10 +416,6 @@ class TxnView:
 class TxnResult:
     """Outcome of one committed transaction."""
 
-    kind: str
-    txn_id: int
-    start_ns: int
-    commit_ns: int
     attempts: int
     payload: Any
 
@@ -435,9 +431,8 @@ def run_atomic(
     descriptor = TxnDescriptor(txn_id, dict(access))
     key_buckets = (access.key_buckets if isinstance(access, AccessPlan)
                    and access.buckets_per_table == ctx.buckets_per_table else None)
-    start = ctx.clock()
     if ctx.sink is not None:
-        ctx.sink.txn_start(start, txn_id, ctx.client_id, kind)
+        ctx.sink.txn_start(ctx.clock(), txn_id, ctx.client_id, kind)
     for attempt in range(1, ctx.retry_limit + 1):
         if attempt >= 2 and ctx.sink is not None:
             ctx.sink.retry_start(ctx.clock(), txn_id, ctx.client_id, attempt)
@@ -455,10 +450,9 @@ def run_atomic(
             handle.abandon()  # do not leave locks or versions behind
             raise
         else:
-            end = ctx.clock()
             if ctx.sink is not None:
-                ctx.sink.commit(end, txn_id, ctx.client_id, attempt)
-            return TxnResult(kind, txn_id, start, end, attempt, payload)
+                ctx.sink.commit(ctx.clock(), txn_id, ctx.client_id, attempt)
+            return TxnResult(attempt, payload)
         window_ms = min(ctx.backoff_cap_ms, ctx.backoff_base_ms * (2 ** (attempt - 1)))
         ctx.sleep(ctx.backoff_rng.uniform(0.0, window_ms) / 1000.0)
     raise RetryLimitError(f"transaction {txn_id} ({kind}) exceeded {ctx.retry_limit} attempts")

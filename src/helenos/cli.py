@@ -302,6 +302,10 @@ def cmd_sweep(args) -> int:
 # verify
 
 
+# The witness ids ``helenos verify`` prints; a long run's order ends in "...".
+WITNESS_SHOWN = 10
+
+
 def cmd_verify(args) -> int:
     with open(args.events, "r", encoding="utf-8") as fh:
         events = read_event_log(fh)
@@ -314,7 +318,10 @@ def cmd_verify(args) -> int:
 
     print(f"serializable: {'PASS' if serial.ok else 'FAIL'} ({serial.mode})")
     if serial.ok and serial.witness is not None:
-        print("  witness order:", " ".join(str(t) for t in serial.witness))
+        witness = serial.witness
+        more = " ..." if len(witness) > WITNESS_SHOWN else ""
+        print(f"  witness order ({len(witness)} transactions):",
+              " ".join(map(str, witness[:WITNESS_SHOWN])) + more)
     if not serial.ok:
         print(f"  {serial.detail}")
     print(f"integrity:    {'PASS' if integrity.ok else 'FAIL'}")

@@ -42,10 +42,6 @@ class RunArtifacts:
         """Committed transactions' effects, built from ``events`` on first use."""
         return build_history(self.events)
 
-    @property
-    def commits(self) -> int:
-        return self.report.commits
-
     def mean_ops_per_txn(self) -> float:
         if not self.history.effects:
             return 0.0

@@ -1,10 +1,11 @@
 """Keys, table schemas, bucket partitioning, and ring placement.
 
 Everything in this module is pure and hashable (a RingLayout's owner
-memo is invisible to equality and hashing). The canonical byte
-encodings defined here double as the wire format and as the input to the
-partitioning hash, so they are fixed bit-for-bit (see README, "Canonical
-encodings").
+memo is invisible to equality and hashing). Every stored value (a
+``MsgId``, a ``SeqPair``, a ``Message``) is a named tuple, so each equals
+the plain tuple of its fields. The canonical byte encodings defined here
+double as the wire format and as the input to the partitioning hash, so
+they are fixed bit-for-bit (see README, "Canonical encodings").
 """
 
 from __future__ import annotations
@@ -145,8 +146,7 @@ class SeqPair(NamedTuple):
     deleted: SeqNo
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     """One stored message; ``content`` is the text, one keyword index per word."""
 
     id: MsgId

@@ -243,8 +243,8 @@ class StorageEngine:
         item = op.item
         if not isinstance(item, Message) or item.timestamp:
             return op
-        return Append(op.key, Message(item.id, item.sender, item.recipient, item.content,
-                                      self.next_timestamp()))
+        return Append(op.key, tuple.__new__(Message, (item.id, item.sender, item.recipient,
+                                                      item.content, self.next_timestamp())))
 
     def dump_entries(self) -> list[tuple[bytes, bytes]]:
         """All (key encoding, entry encoding) pairs, sorted by key encoding."""

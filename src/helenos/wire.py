@@ -265,7 +265,8 @@ def decode_message(data: bytes, off: int = 0) -> tuple[Message, int]:
         raise ProtocolError("truncated message content")
     content = _WORDS[nwords].unpack_from(data, off + 34)
     (ts,) = _U64.unpack_from(data, end)
-    return Message(_tuple_new(MsgId, (r, s)), sender, recipient, content, ts), end + 8
+    mid = _tuple_new(MsgId, (r, s))
+    return _tuple_new(Message, (mid, sender, recipient, content, ts)), end + 8
 
 
 def encode_seqpair(p: SeqPair) -> bytes:

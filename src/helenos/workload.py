@@ -9,7 +9,9 @@ their access sets a priori. A planner returns the ``AccessPlan`` it fills,
 which also gives the body's verbs the bucket of each planned key.
 
 A task is a client-level unit of work composing one or more transactions
-plus local processing.
+plus local processing. ``ClientRuntime.run_task`` returns the task's
+value: an association task's ratio, an import's count of imported
+messages, and ``None`` for every other task.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .cc import AccessPlan, TxnContext, TxnResult, TxnView, run_atomic
 from .config import ScenarioConfig, TaskType
@@ -249,13 +251,6 @@ def txn_import_messages(tx: TxnView, messages: Sequence[Message]) -> int:
 
 
 @dataclass
-class TaskOutcome:
-    task: TaskType
-    txns: list[TxnResult]
-    value: Any = None
-
-
-@dataclass
 class ClientRuntime:
     """One closed-loop client: its transaction context and generator state."""
 
@@ -288,10 +283,10 @@ class ClientRuntime:
 
     # -- task bodies -----------------------------------------------------
 
-    def run_task(self, task: TaskType) -> TaskOutcome:
+    def run_task(self, task: TaskType) -> float | int | None:
         return _TASK_BODIES[task](self)
 
-    def _term_search(self) -> TaskOutcome:
+    def _term_search(self) -> None:
         cfg = self.cfg
         user = self._user()
         kws = self._keywords(self.rng.randint(1, cfg.query_keyword_cap))
@@ -300,13 +295,11 @@ class ClientRuntime:
             plan_get_by_keyword(cfg.buckets, user, kws),
             lambda tx: txn_get_by_keyword(tx, user, kws),
         )
-        txns = [first]
         ids = sorted(first.payload)
         if ids:
-            txns.append(self._fetch_messages(ids))
-        return TaskOutcome(TaskType.TERM_SEARCH, txns)
+            self._fetch_messages(ids)
 
-    def _interaction_search(self) -> TaskOutcome:
+    def _interaction_search(self) -> None:
         user = self._user()
         other = self._other_user(user)
         first = run_atomic(
@@ -314,10 +307,8 @@ class ClientRuntime:
             plan_get_conversation(self.cfg.buckets, user, other, both=True),
             lambda tx: txn_get_conversation(tx, user, other, both=True),
         )
-        txns = [first]
         if first.payload:
-            txns.append(self._fetch_messages(first.payload))
-        return TaskOutcome(TaskType.INTERACTION_SEARCH, txns)
+            self._fetch_messages(first.payload)
 
     def _fetch_messages(self, ids: list[MsgId]) -> TxnResult:
         return run_atomic(
@@ -326,7 +317,7 @@ class ClientRuntime:
             lambda tx: txn_get_messages(tx, ids),
         )
 
-    def _send_unicast(self) -> TaskOutcome:
+    def _send_unicast(self) -> None:
         sender = self._user()
         recipient = self._other_user(sender)
         content = self._content()
@@ -336,9 +327,8 @@ class ClientRuntime:
             lambda tx: txn_send_msg(tx, sender, recipient, content),
         )
         self._bump_est(recipient, result.payload.seq)
-        return TaskOutcome(TaskType.SEND_UNICAST, [result])
 
-    def _send_multicast(self) -> TaskOutcome:
+    def _send_multicast(self) -> None:
         cfg = self.cfg
         sender = self._user()
         lo, hi = cfg.multicast_recipients
@@ -357,9 +347,8 @@ class ClientRuntime:
         result = run_atomic(self.ctx, "send_msg", builder, body)
         for mid in result.payload:
             self._bump_est(mid.recipient, mid.seq)
-        return TaskOutcome(TaskType.SEND_MULTICAST, [result])
 
-    def _batch_import(self) -> TaskOutcome:
+    def _batch_import(self) -> int:
         cfg = self.cfg
         recipient = self._user()
         lo, hi = cfg.import_batch
@@ -379,9 +368,9 @@ class ClientRuntime:
             lambda tx: txn_import_messages(tx, batch),
         )
         self._bump_est(recipient, max(m.id.seq for m in batch))
-        return TaskOutcome(TaskType.BATCH_IMPORT, [result], value=result.payload)
+        return result.payload
 
-    def _clear_inbox(self) -> TaskOutcome:
+    def _clear_inbox(self) -> None:
         cfg = self.cfg
         user = self._user()
         reset = run_atomic(
@@ -389,24 +378,18 @@ class ClientRuntime:
             plan_reset_cutoff(cfg.buckets, user),
             lambda tx: txn_reset_cutoff(tx, user),
         )
-        txns = [reset]
         pair: SeqPair = reset.payload
         ids = [MsgId(user, seq) for seq in range(pair.deleted + 1, pair.current + 1)]
         if ids:
-            fetched = self._fetch_messages(ids)
-            txns.append(fetched)
-            if fetched.payload:
-                msgs = fetched.payload
-                txns.append(
-                    run_atomic(
-                        self.ctx, "remove_messages",
-                        plan_remove_messages(cfg.buckets, msgs),
-                        lambda tx: txn_remove_messages(tx, msgs),
-                    )
+            msgs = self._fetch_messages(ids).payload
+            if msgs:
+                run_atomic(
+                    self.ctx, "remove_messages",
+                    plan_remove_messages(cfg.buckets, msgs),
+                    lambda tx: txn_remove_messages(tx, msgs),
                 )
-        return TaskOutcome(TaskType.CLEAR_INBOX, txns)
 
-    def _association_level(self) -> TaskOutcome:
+    def _association_level(self) -> float:
         user = self._user()
         other = self._other_user(user)
         result = run_atomic(
@@ -416,10 +399,9 @@ class ClientRuntime:
         )
         ids, pairs = result.payload
         inbox_size = max(1, pairs[0].current - pairs[0].deleted)
-        ratio = len(set(ids)) / inbox_size
-        return TaskOutcome(TaskType.ASSOCIATION_LEVEL, [result], value=ratio)
+        return len(set(ids)) / inbox_size
 
-    def _indexing(self) -> TaskOutcome:
+    def _indexing(self) -> None:
         cfg = self.cfg
         user_count = self.rng.randint(1, min(3, cfg.user_population))
         users = self.rng.sample(range(cfg.user_population), user_count)
@@ -427,12 +409,11 @@ class ClientRuntime:
             u: set(self._keywords(self.rng.randint(1, cfg.query_keyword_cap)))
             for u in users
         }
-        result = run_atomic(
+        run_atomic(
             self.ctx, "index_messages",
             plan_index_messages(cfg.buckets, queries),
             lambda tx: txn_index_messages(tx, queries, cfg.index_cap),
         )
-        return TaskOutcome(TaskType.INDEXING, [result])
 
 
 _TASK_BODIES = {

@@ -246,7 +246,7 @@ def test_c10_determinism_across_transports():
         loop_a = run_in_process(cfg)
         loop_b = run_in_process(cfg)
         assert loop_a.snapshot == loop_b.snapshot
-        assert loop_a.commits == loop_b.commits
+        assert loop_a.report.commits == loop_b.report.commits
 
         def tcp_run():
             node_ids = cfg.node_ids()
@@ -276,6 +276,6 @@ def test_c10_determinism_across_transports():
         tcp_a = tcp_run()
         tcp_b = tcp_run()
         assert tcp_a.snapshot == tcp_b.snapshot
-        assert tcp_a.commits == tcp_b.commits
+        assert tcp_a.report.commits == tcp_b.report.commits
         assert tcp_a.snapshot == loop_a.snapshot, "transports disagree on final state"
-        assert tcp_a.commits == loop_a.commits
+        assert tcp_a.report.commits == loop_a.report.commits

@@ -4,12 +4,15 @@
 program looks them up by; a rename under ``src/`` would break
 ``perfbench/run.py --trace 1`` without failing any other test, and a
 name left defined but off the path that waits would leave
-``<scheme>.store.wait_ms_per_commit`` reading zero.
+``<scheme>.store.wait_ms_per_commit`` reading zero. Likewise
+``perfbench/layers.py`` and ``workloads.py`` import program names and
+build a ``Message`` by position.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +22,8 @@ from helenos import cc, driver, metrics, store, workload
 from helenos.config import load_scenario
 from helenos.wire import Scheme
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 @pytest.fixture
@@ -84,3 +88,20 @@ def test_traced_run_records_wait_spans(tracing, scheme):
     for name in names:
         calls = summary.get(name, [0])[0]
         assert calls >= txns, f"{calls} {name} spans for {txns} {scheme.name} transactions"
+
+
+# perfbench's modules import each other by plain name from their own directory.
+PERFBENCH_MODULES = ("layers", "workloads", "tracing")
+
+
+@pytest.fixture
+def perfbench_on_path(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    yield
+    for name in PERFBENCH_MODULES:
+        sys.modules.pop(name, None)
+
+
+def test_inbox_read_probe_runs(perfbench_on_path):
+    layers = importlib.import_module("layers")  # imports workloads and tracing
+    assert layers.inbox_read_ms(100) > 0

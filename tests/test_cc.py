@@ -225,7 +225,10 @@ def test_storage_reply_with_another_header_bucket_is_accepted():
     (inter_key(1, 2), Message(MsgId(2, 1), 1, 2, (0,), 0),
      "identifier list append got a full message"),
     (message_key(2), MsgId(2, 1), "message table append requires a full message"),
-], ids=["message-on-id-list", "id-on-message-list"])
+    # A message equals the plain tuple of its fields, but only a Message is stored.
+    (message_key(2), (MsgId(2, 1), 1, 2, (0,), 0),
+     "message table append requires a full message"),
+], ids=["message-on-id-list", "id-on-message-list", "tuple-on-message-list"])
 def test_wrongly_typed_append_refused_before_sending(scheme, key, item, message):
     cluster = make_cluster(2)
     ctx = make_ctx(cluster, scheme)

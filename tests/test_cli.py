@@ -374,6 +374,24 @@ class TestVerifyCommand:
         assert run_cli("verify", "--events", str(events), "--snapshot", str(snap)) == 0
         assert f"serializable: PASS ({mode})" in capsys.readouterr().out
 
+    def test_long_witness_is_shortened(self, tmp_path, capsys):
+        events = tmp_path / "events.tsv"
+        snap = tmp_path / "final.snap"
+        assert run_cli(
+            "run", "--config", "standard", "--in-process", "4", "--scheme", "glock",
+            "--seed", "7", "--record", str(events), "--snapshot-out", str(snap),
+            "--out", str(tmp_path / "r.csv"),
+        ) == 0
+        capsys.readouterr()
+        assert run_cli("verify", "--events", str(events), "--snapshot", str(snap)) == 0
+        out = capsys.readouterr().out
+        assert "serializable: PASS (conflict-graph)" in out
+        # The run commits 97 transactions; the full order took 1,168 characters.
+        (line,) = [line for line in out.splitlines() if "witness order" in line]
+        assert line.startswith("  witness order (97 transactions): ")
+        assert line.endswith(" ...") and len(line) < 200
+        assert len(line.split(": ")[1].split()) == 10 + 1
+
 
 class TestRepetitionSeeds:
     @pytest.mark.parametrize("clients, step", [(1, 1), (2, 2), (3, 4), (4, 4), (32, 32),

@@ -16,6 +16,8 @@ from helenos.errors import ConfigError, ProtocolError
 from helenos.model import (
     OWNER_CACHE_LIMIT,
     BucketId,
+    Message,
+    MsgId,
     RingLayout,
     TableId,
     TableKey,
@@ -175,6 +177,26 @@ def owner_oracle(bucket: BucketId, layout: RingLayout) -> str:
     if candidates:
         return min(candidates)[1]
     return min(layout.points)[1]
+
+
+class TestMessage:
+    MSG = Message(MsgId(2, 7), 1, 2, (5, 3, 5), 9)
+
+    def test_fields_are_read_only(self):
+        with pytest.raises(AttributeError):
+            self.MSG.timestamp = 10
+
+    def test_hashes_as_the_tuple_of_its_fields(self):
+        assert hash(self.MSG) == hash(tuple(self.MSG))
+        assert self.MSG == Message(MsgId(2, 7), 1, 2, (5, 3, 5), 9)
+        assert self.MSG != self.MSG._replace(timestamp=10)
+
+    def test_repr_is_pinned(self):
+        assert repr(self.MSG) == ("Message(id=MsgId(recipient=2, seq=7), sender=1, "
+                                  "recipient=2, content=(5, 3, 5), timestamp=9)")
+
+    def test_keywords_are_distinct_and_ascending(self):
+        assert self.MSG.keywords() == (3, 5)
 
 
 class TestRing:

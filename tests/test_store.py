@@ -25,7 +25,14 @@ from helenos.model import (
     seqno_key,
     term_key,
 )
-from helenos.store import Node, StorageEngine, merge_snapshots, pack_snapshot, unpack_snapshot
+from helenos.store import (
+    Node,
+    StorageEngine,
+    merge_snapshots,
+    pack_snapshot,
+    unpack_snapshot,
+    walk_snapshot,
+)
 from helenos.transport import LoopbackCluster
 from helenos.wire import (
     Append,
@@ -855,6 +862,12 @@ class TestSnapshotCodec:
     # sha256 of the merge of three ``_node_dump``s, recorded from the unpack
     # that decoded every entry to find its length.
     MERGED_SHA256 = "32874fc1bc7ce9a92c21c576b10a16bbc4f230a06d62d8c7c42abeef888985fb"
+
+    def test_walk_yields_stored_messages(self):
+        messages = [m for _, _, key, entry in walk_snapshot(_node_dump(1))
+                    if key.table is TableId.MESSAGE for m in entry]
+        assert len(messages) == 19
+        assert all(type(m) is Message for m in messages)
 
     def test_merge_of_message_lists_is_pinned(self):
         merged = merge_snapshots([_node_dump(node) for node in range(3)])

@@ -50,6 +50,7 @@ class TestItemCodecs:
         msg = Message(MsgId(9, 4), 2, 9, (5, 5, 1), 77)
         decoded, consumed = wire.decode_message(wire.encode_message(msg))
         assert decoded == msg
+        assert type(decoded) is Message and type(decoded.id) is MsgId
         assert consumed == len(wire.encode_message(msg))
 
     def test_empty_content_message(self):
