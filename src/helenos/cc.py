@@ -14,10 +14,17 @@
   mutually consistent); accesses wait for their version's turn and each
   bucket is handed to the successor after the last declared access.
 
+``begin(ctx, txn_id, access, attempt)`` starts one attempt over a declared
+access set, bucket -> op-count upper bound. ``run_atomic`` runs attempts
+until one commits and returns its body's value; the attempt's number is on
+the sink's commit row.
+
 Only occ can abort; the other three always commit on the first attempt.
 An optimistic attempt aborts by raising ``OccConflict``, mid-execution when
 a read sees a changed bucket version and at validation when a read-set
-bucket fails it; ``run_atomic`` backs off and runs the next attempt.
+bucket fails it; ``run_atomic`` backs off and runs the next attempt. The
+backoff window (``BACKOFF_BASE_MS`` doubling up to ``BACKOFF_CAP_MS``) and
+the retry bound (``RETRY_LIMIT``) are fixed.
 
 Each attempt gives back what it holds through one release ledger
 (``TxnHandle.held``), filled as each lock, latch or version is taken.
@@ -64,18 +71,9 @@ class OccConflict(Exception):
     """Aborts an optimistic attempt: a bucket it read changed version."""
 
 
-@dataclass(frozen=True)
-class TxnDescriptor:
-    """A transaction's identity and declared access set (op-count upper bounds)."""
-
-    txn_id: int
-    access: Mapping[BucketId, int]
-
-    def __post_init__(self) -> None:
-        if not self.access:
-            raise ConfigError("empty access set")
-        if min(self.access.values()) < 1:
-            raise ConfigError("access set op counts must be >= 1")
+RETRY_LIMIT = 10_000
+BACKOFF_BASE_MS = 1.0
+BACKOFF_CAP_MS = 64.0
 
 
 @dataclass
@@ -88,9 +86,6 @@ class TxnContext:
     buckets_per_table: int
     delay_ms: int = 0
     client_id: int = 0
-    retry_limit: int = 10_000
-    backoff_base_ms: float = 1.0
-    backoff_cap_ms: float = 64.0
     backoff_rng: random.Random = field(default_factory=random.Random)
     clock: Callable[[], int] = time.monotonic_ns
     sleep: Callable[[float], None] = time.sleep
@@ -121,18 +116,21 @@ _VER_RELEASE = Op.VER_RELEASE  # read per pesv access: an Enum member lookup is 
 
 
 class TxnHandle:
-    """Live state of one transaction attempt under one scheme. ``held`` is its
-    release ledger, (release opcode, bucket) -> release argument, in the order
+    """Live state of one transaction attempt under one scheme. ``plan`` is the
+    declared access set, bucket -> op-count bound. ``held`` is its release
+    ledger, (release opcode, bucket) -> release argument, in the order
     taken, which is canonical bucket order. ``committed`` is set once the
     commit's writes have all been sent, before the ledger is given back."""
 
     scheme = Scheme.NONE
 
-    def __init__(self, ctx: TxnContext, descriptor: TxnDescriptor, attempt: int) -> None:
+    def __init__(self, ctx: TxnContext, txn_id: int, plan: Mapping[BucketId, int],
+                 attempt: int) -> None:
         self.ctx = ctx
-        self.descriptor = descriptor
+        self.txn_id = txn_id
+        self.plan = plan
         self.attempt = attempt
-        self.remaining = dict(descriptor.access)
+        self.remaining = dict(plan)
         self.held: dict[tuple[Op, BucketId | None], int | None] = {}
         self.committed = False
         # Op indexes 1, 2, ... in program order, from a bound count.__next__.
@@ -182,12 +180,12 @@ class TxnHandle:
 
     def _take(self, acquire: Op, release: Op, bucket: BucketId | None,
               arg: int | None = None) -> bytes:
-        body = self.ctx.cc_call(acquire, bucket, self.descriptor.txn_id)
+        body = self.ctx.cc_call(acquire, bucket, self.txn_id)
         self.held[release, bucket] = arg
         return body
 
     def _give_back(self, release: Op, bucket: BucketId | None) -> None:
-        self.ctx.cc_call(release, bucket, self.descriptor.txn_id, self.held[release, bucket])
+        self.ctx.cc_call(release, bucket, self.txn_id, self.held[release, bucket])
         del self.held[release, bucket]
 
     def release_held(self) -> None:
@@ -210,7 +208,7 @@ class TxnHandle:
         """Send one storage op, and record it in the sink unless ``record`` is
         false; returns (result, version, bucket_seq)."""
         ctx = self.ctx
-        txn_id = self.descriptor.txn_id
+        txn_id = self.txn_id
         request_id = ctx.next_request_id()
         layout = ctx.layout
         node = layout.owners.get(bucket) or layout.owner_of(bucket)
@@ -242,7 +240,7 @@ class FglHandle(TxnHandle):
     scheme = Scheme.FGL
 
     def begin(self) -> None:
-        for bucket in sorted(self.descriptor.access):
+        for bucket in sorted(self.plan):
             self._take(Op.FGL_LOCK, Op.FGL_UNLOCK, bucket)
 
     def _perform(self, bucket: BucketId, op: StorageOp):
@@ -259,7 +257,7 @@ class PesvHandle(TxnHandle):
     scheme = Scheme.PESV
 
     def begin(self) -> None:
-        order = sorted(self.descriptor.access)
+        order = sorted(self.plan)
         for bucket in order:
             body = self._take(Op.SUP_TAKE, Op.SUP_UNLATCH, bucket)
             self.held[_VER_RELEASE, bucket] = int.from_bytes(body[:8], "big")
@@ -282,8 +280,9 @@ class OccHandle(TxnHandle):
 
     scheme = Scheme.OCC
 
-    def __init__(self, ctx: TxnContext, descriptor: TxnDescriptor, attempt: int) -> None:
-        super().__init__(ctx, descriptor, attempt)
+    def __init__(self, ctx: TxnContext, txn_id: int, plan: Mapping[BucketId, int],
+                 attempt: int) -> None:
+        super().__init__(ctx, txn_id, plan, attempt)
         self.read_versions: dict[BucketId, int] = {}
         self.buffer: list[tuple[int, BucketId, StorageOp]] = []
 
@@ -320,14 +319,14 @@ class OccHandle(TxnHandle):
         # own buffered writes.
         ctx = self.ctx
         if ctx.sink is not None:
-            ctx.sink.bucket_op(ctx.clock(), self.descriptor.txn_id, ctx.client_id, self.attempt,
+            ctx.sink.bucket_op(ctx.clock(), self.txn_id, ctx.client_id, self.attempt,
                                bucket, op_index, OP_SPECS[Read].kind, key, value, bucket_seq)
         return value
 
     # -- commit phase -----------------------------------------------------
 
     def _finish(self) -> None:
-        txn = self.descriptor.txn_id
+        txn = self.txn_id
         for bucket in sorted({bucket for _i, bucket, _op in self.buffer}):
             self._take(Op.OCC_LOCK, Op.OCC_UNLOCK, bucket, 0)
         for bucket in sorted(self.read_versions):
@@ -349,12 +348,17 @@ _HANDLES: dict[Scheme, type[TxnHandle]] = {
 }
 
 
-def begin(ctx: TxnContext, descriptor: TxnDescriptor, attempt: int = 1) -> TxnHandle:
+def begin(ctx: TxnContext, txn_id: int, access: Mapping[BucketId, int],
+          attempt: int = 1) -> TxnHandle:
+    if not access:
+        raise ConfigError("empty access set")
+    if min(access.values()) < 1:
+        raise ConfigError("access set op counts must be >= 1")
     try:
         handle_cls = _HANDLES[ctx.scheme]
     except KeyError:
         raise ConfigError(f"unknown scheme {ctx.scheme!r}") from None
-    handle = handle_cls(ctx, descriptor, attempt)
+    handle = handle_cls(ctx, txn_id, access, attempt)
     try:
         handle.begin()
     except BaseException:
@@ -412,31 +416,23 @@ class TxnView:
         return self._handle.access(bucket, IncrSeq(key))
 
 
-@dataclass
-class TxnResult:
-    """Outcome of one committed transaction."""
-
-    attempts: int
-    payload: Any
-
-
 def run_atomic(
     ctx: TxnContext,
     kind: str,
     access: Mapping[BucketId, int],
     body: Callable[[TxnView], Any],
-) -> TxnResult:
-    """Execute ``body`` atomically, retrying aborted attempts with backoff."""
+) -> Any:
+    """Execute ``body`` atomically, retrying aborted attempts with backoff;
+    returns the committed attempt's body value."""
     txn_id = ctx.next_txn_id()
-    descriptor = TxnDescriptor(txn_id, dict(access))
     key_buckets = (access.key_buckets if isinstance(access, AccessPlan)
                    and access.buckets_per_table == ctx.buckets_per_table else None)
     if ctx.sink is not None:
         ctx.sink.txn_start(ctx.clock(), txn_id, ctx.client_id, kind)
-    for attempt in range(1, ctx.retry_limit + 1):
+    for attempt in range(1, RETRY_LIMIT + 1):
         if attempt >= 2 and ctx.sink is not None:
             ctx.sink.retry_start(ctx.clock(), txn_id, ctx.client_id, attempt)
-        handle = begin(ctx, descriptor, attempt)
+        handle = begin(ctx, txn_id, access, attempt)
         try:
             payload = body(TxnView(handle, ctx.buckets_per_table, key_buckets))
             handle.commit()
@@ -452,7 +448,7 @@ def run_atomic(
         else:
             if ctx.sink is not None:
                 ctx.sink.commit(ctx.clock(), txn_id, ctx.client_id, attempt)
-            return TxnResult(attempt, payload)
-        window_ms = min(ctx.backoff_cap_ms, ctx.backoff_base_ms * (2 ** (attempt - 1)))
+            return payload
+        window_ms = min(BACKOFF_CAP_MS, BACKOFF_BASE_MS * (2 ** (attempt - 1)))
         ctx.sleep(ctx.backoff_rng.uniform(0.0, window_ms) / 1000.0)
-    raise RetryLimitError(f"transaction {txn_id} ({kind}) exceeded {ctx.retry_limit} attempts")
+    raise RetryLimitError(f"transaction {txn_id} ({kind}) exceeded {RETRY_LIMIT} attempts")

@@ -232,8 +232,10 @@ def _mean_row(rows: list[dict[str, object]]) -> dict[str, object]:
     out["snapshot_sha256"] = "-"
     for col in METRIC_COLUMNS:
         values = [r[col] for r in rows if isinstance(r.get(col), (int, float))]
-        if len(values) == len(rows) and values:
+        if len(values) == len(rows):
             out[col] = sum(values) / len(values)
+        else:  # a repetition lacks it: no mean, not one repetition's value
+            out.pop(col, None)
     return out
 
 

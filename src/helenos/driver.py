@@ -5,6 +5,9 @@ endpoints and the event sink. The serial-baseline scheme is the one
 exception: its clients are interleaved round-robin on a single thread at
 task granularity, which keeps the global lock's arrival order (and hence
 the final state) reproducible from the seed alone.
+
+A run leaves ``RunArtifacts``: its report, its events and the merged final
+snapshot; the committed history is built from the events on first use.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ _BACKOFF_SALT = 0x5EED_B0FF
 
 @dataclass
 class RunArtifacts:
-    config: ScenarioConfig
     report: MetricsReport
     events: list
     snapshot: bytes
@@ -82,8 +84,8 @@ def run_clients(
     layout: RingLayout,
     transport_for: Callable[[int], Transport],
     sink: EventSink,
-) -> int:
-    """Execute clients x tasks-per-client tasks; returns the task count."""
+) -> None:
+    """Execute clients x tasks-per-client tasks."""
     runtimes = [_make_runtime(cfg, layout, transport_for(i), i, sink) for i in range(cfg.clients)]
     groups = [runtimes] if cfg.scheme is Scheme.GLOCK else [[r] for r in runtimes]
     errors: list[BaseException] = []
@@ -115,7 +117,6 @@ def run_clients(
         t.join()
     if errors:
         raise HelenosError(f"client failed: {errors[0]!r}") from errors[0]
-    return cfg.clients * cfg.tasks_per_client
 
 
 def cluster_snapshot(transport: Transport, layout: RingLayout) -> bytes:
@@ -143,7 +144,7 @@ def run_scenario(
     report.check_invariants()
     snap_transport = snapshot_transport if snapshot_transport is not None else transport_for(0)
     snapshot = cluster_snapshot(snap_transport, layout)
-    return RunArtifacts(cfg, report, events, snapshot)
+    return RunArtifacts(report, events, snapshot)
 
 
 def run_in_process(cfg: ScenarioConfig) -> RunArtifacts:

@@ -10,10 +10,11 @@ names the check that ran:
   (reads assert the observed value, mutations apply it) and pruning on
   mismatch; memoization on (placed set, state) keeps it tractable. The
   first order whose replay reproduces the final snapshot is returned.
-* conflict graph: builds precedence edges from the
-  per-bucket server apply order, treating every op kind whose row in
-  ``wire.OP_SPECS`` says ``writes`` (all but ``read``) as a write and
-  refusing a kind with no row, as brute force does. It runs Kahn's
+* conflict graph: groups the committed ops by bucket, orders each
+  bucket's ops by the ``bucket_seq`` its node returned (the server apply
+  order), and builds precedence edges from those orders, treating every op
+  kind whose row in ``wire.OP_SPECS`` says ``writes`` (all but ``read``) as
+  a write and refusing a kind with no row, as brute force does. It runs Kahn's
   algorithm over the edges, which is linear in transactions plus edges
   (apart from the sorts that fix the witness order). An acyclic
   graph means the history is conflict serializable (Papadimitriou, JACM
@@ -25,9 +26,10 @@ names the check that ran:
 ``check_integrity`` asserts referential integrity between the four tables
 and the per-inbox sequence discipline on a quiescent snapshot.
 
-A ``History`` holds the clients' own ``metrics.BucketOp`` records of the
-committed attempts; what each op kind observes and writes is asked of its
-row in ``wire.OP_SPECS``.
+A ``History`` is the committed transactions' effects in commit order, each
+holding the clients' own ``metrics.BucketOp`` records of its committed
+attempt; what each op kind observes and writes is asked of its row in
+``wire.OP_SPECS``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ProtocolError, VerificationError
-from .metrics import BucketOp, Commit, Event, TxnStart
+from .metrics import BucketOp, Commit, Event
 from .model import (
     BucketId,
     Message,
@@ -58,48 +60,39 @@ BRUTE_FORCE_LIMIT = 10
 @dataclass
 class TxnEffect:
     txn_id: int
-    kind: str
     commit_ns: int
     ops: list[BucketOp]  # the client's own records, in program order
 
 
 @dataclass
 class History:
-    """Committed transactions' logical effects plus per-bucket apply order."""
+    """Committed transactions' logical effects, in commit order."""
 
     effects: list[TxnEffect]
-    bucket_order: dict[BucketId, list[tuple[int, int, str]]]  # (seq, txn, kind)
 
 
 def build_history(events: list[Event]) -> History:
     committed_attempt: dict[int, int] = {}
     commit_ns: dict[int, int] = {}
-    kinds: dict[int, str] = {}
     for ev in events:
         if isinstance(ev, Commit):
             committed_attempt[ev.txn_id] = ev.attempt
             commit_ns[ev.txn_id] = ev.time_ns
-        elif isinstance(ev, TxnStart):
-            kinds[ev.txn_id] = ev.kind
 
     ops_of: dict[int, list[BucketOp]] = {t: [] for t in committed_attempt}
-    bucket_order: dict[BucketId, list[tuple[int, int, str]]] = {}
     for ev in events:
         if not isinstance(ev, BucketOp):
             continue
         if committed_attempt.get(ev.txn_id) != ev.attempt:
             continue  # op of an aborted attempt
         ops_of[ev.txn_id].append(ev)
-        bucket_order.setdefault(ev.bucket, []).append((ev.bucket_seq, ev.txn_id, ev.kind))
 
     effects = [
-        TxnEffect(txn, kinds.get(txn, "?"), commit_ns[txn], sorted(ops, key=lambda o: o.op_index))
+        TxnEffect(txn, commit_ns[txn], sorted(ops, key=lambda o: o.op_index))
         for txn, ops in ops_of.items()
     ]
     effects.sort(key=lambda e: e.commit_ns)
-    for order in bucket_order.values():
-        order.sort()
-    return History(effects, bucket_order)
+    return History(effects)
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +194,18 @@ def conflict_graph_serializable(history: History) -> Verdict:
 
     def add(src: int, dst: int) -> None:
         if src != dst:
-            edges.setdefault(src, set()).add(dst)
+            edges[src].add(dst)
+
+    # Each bucket's committed ops in the order the server applied them.
+    orders: dict[BucketId, list[tuple[int, int, str]]] = {}
+    for effect in history.effects:
+        for op in effect.ops:
+            orders.setdefault(op.bucket, []).append((op.bucket_seq, effect.txn_id, op.kind))
 
     # One linear pass per bucket: a write conflicts with the previous write
     # and every read since it; a read conflicts with the previous write.
-    for order in history.bucket_order.values():
+    for order in orders.values():
+        order.sort()
         last_writer: int | None = None
         readers_since: set[int] = set()
         for _seq, txn, kind in order:

@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .cc import AccessPlan, TxnContext, TxnResult, TxnView, run_atomic
+from .cc import AccessPlan, TxnContext, TxnView, run_atomic
 from .config import ScenarioConfig, TaskType
 from .model import (
     Message,
@@ -290,27 +290,26 @@ class ClientRuntime:
         cfg = self.cfg
         user = self._user()
         kws = self._keywords(self.rng.randint(1, cfg.query_keyword_cap))
-        first = run_atomic(
+        ids = sorted(run_atomic(
             self.ctx, "get_by_keyword",
             plan_get_by_keyword(cfg.buckets, user, kws),
             lambda tx: txn_get_by_keyword(tx, user, kws),
-        )
-        ids = sorted(first.payload)
+        ))
         if ids:
             self._fetch_messages(ids)
 
     def _interaction_search(self) -> None:
         user = self._user()
         other = self._other_user(user)
-        first = run_atomic(
+        ids = run_atomic(
             self.ctx, "get_conversation",
             plan_get_conversation(self.cfg.buckets, user, other, both=True),
             lambda tx: txn_get_conversation(tx, user, other, both=True),
         )
-        if first.payload:
-            self._fetch_messages(first.payload)
+        if ids:
+            self._fetch_messages(ids)
 
-    def _fetch_messages(self, ids: list[MsgId]) -> TxnResult:
+    def _fetch_messages(self, ids: list[MsgId]) -> list[Message]:
         return run_atomic(
             self.ctx, "get_messages",
             plan_get_messages(self.cfg.buckets, ids),
@@ -321,12 +320,12 @@ class ClientRuntime:
         sender = self._user()
         recipient = self._other_user(sender)
         content = self._content()
-        result = run_atomic(
+        mid = run_atomic(
             self.ctx, "send_msg",
             plan_send_msg(self.cfg.buckets, sender, recipient, content),
             lambda tx: txn_send_msg(tx, sender, recipient, content),
         )
-        self._bump_est(recipient, result.payload.seq)
+        self._bump_est(recipient, mid.seq)
 
     def _send_multicast(self) -> None:
         cfg = self.cfg
@@ -344,8 +343,7 @@ class ClientRuntime:
         def body(tx: TxnView) -> list[MsgId]:
             return [txn_send_msg(tx, sender, r, content) for r in recipients]
 
-        result = run_atomic(self.ctx, "send_msg", builder, body)
-        for mid in result.payload:
+        for mid in run_atomic(self.ctx, "send_msg", builder, body):
             self._bump_est(mid.recipient, mid.seq)
 
     def _batch_import(self) -> int:
@@ -362,26 +360,25 @@ class ClientRuntime:
                 Message(MsgId(recipient, seq), sender, recipient,
                         self._content(), self.rng.randint(1, 1 << 20))
             )
-        result = run_atomic(
+        imported = run_atomic(
             self.ctx, "import_messages",
             plan_import_messages(cfg.buckets, batch),
             lambda tx: txn_import_messages(tx, batch),
         )
         self._bump_est(recipient, max(m.id.seq for m in batch))
-        return result.payload
+        return imported
 
     def _clear_inbox(self) -> None:
         cfg = self.cfg
         user = self._user()
-        reset = run_atomic(
+        pair: SeqPair = run_atomic(
             self.ctx, "reset_cutoff",
             plan_reset_cutoff(cfg.buckets, user),
             lambda tx: txn_reset_cutoff(tx, user),
         )
-        pair: SeqPair = reset.payload
         ids = [MsgId(user, seq) for seq in range(pair.deleted + 1, pair.current + 1)]
         if ids:
-            msgs = self._fetch_messages(ids).payload
+            msgs = self._fetch_messages(ids)
             if msgs:
                 run_atomic(
                     self.ctx, "remove_messages",
@@ -392,12 +389,11 @@ class ClientRuntime:
     def _association_level(self) -> float:
         user = self._user()
         other = self._other_user(user)
-        result = run_atomic(
+        ids, pairs = run_atomic(
             self.ctx, "get_association",
             plan_get_association(self.cfg.buckets, user, other),
             lambda tx: txn_get_association(tx, user, other),
         )
-        ids, pairs = result.payload
         inbox_size = max(1, pairs[0].current - pairs[0].deleted)
         return len(set(ids)) / inbox_size
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from helenos.cc import TxnContext
+from helenos.metrics import Commit, EventSink
 from helenos.transport import LoopbackCluster
 from helenos.wire import SCHEME_NAMES, Scheme
 
@@ -34,6 +35,11 @@ def make_ctx(
         client_id=client_id,
         backoff_rng=random.Random(seed),
     )
+
+
+def committed_attempts(sink: EventSink) -> list[int]:
+    """The attempt number on each of the sink's commit rows, in log order."""
+    return [ev.attempt for ev in sink.events() if isinstance(ev, Commit)]
 
 
 @pytest.fixture(params=ALL_SCHEMES, ids=[s.name.lower() for s in ALL_SCHEMES])

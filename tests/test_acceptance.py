@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import make_cluster, make_ctx
+from conftest import committed_attempts, make_cluster, make_ctx
 from test_workload import Rig
 from test_verify import write_skew_history
 from trace_suite import DERIVED_TRACES
@@ -23,7 +23,7 @@ from trace_suite import DERIVED_TRACES
 from helenos.cc import run_atomic
 from helenos.config import ScenarioConfig, load_scenario
 from helenos.driver import run_in_process, run_scenario
-from helenos.metrics import MetricsReport, aggregate
+from helenos.metrics import EventSink, MetricsReport, aggregate
 from helenos.model import RingLayout, SeqPair, bucket_of, seqno_key
 from helenos.store import Node
 from helenos.transport import TcpNodeServer, TcpTransport
@@ -95,18 +95,15 @@ def test_c03_occ_forced_conflict():
             cluster = make_cluster(2)
             bucket = bucket_of(seqno_key(1), 8)
             barrier = threading.Barrier(clients)
-            attempts = []
-            lock = threading.Lock()
+            sink = EventSink()
 
             def worker(client_id: int) -> None:
                 ctx = make_ctx(cluster, Scheme.OCC, buckets=8, delay_ms=1,
                                client_id=client_id, seed=client_id)
+                ctx.sink = sink
                 barrier.wait()
                 for _ in range(per_client):
-                    r = run_atomic(ctx, "incr", {bucket: 1},
-                                   lambda tx: tx.incr_seq(seqno_key(1)))
-                    with lock:
-                        attempts.append(r.attempts)
+                    run_atomic(ctx, "incr", {bucket: 1}, lambda tx: tx.incr_seq(seqno_key(1)))
 
             threads = [threading.Thread(target=worker, args=(i,)) for i in range(clients)]
             for t in threads:
@@ -116,8 +113,9 @@ def test_c03_occ_forced_conflict():
 
             ctx = make_ctx(cluster, Scheme.OCC, buckets=8, client_id=99)
             final = run_atomic(ctx, "probe", {bucket: 1},
-                               lambda tx: tx.read(seqno_key(1))).payload
+                               lambda tx: tx.read(seqno_key(1)))
             assert final == SeqPair(per_client * clients, 0), f"lost update at N={clients}"
+            attempts = committed_attempts(sink)
             retry_rate = sum(attempts) / len(attempts)
             assert retry_rate > 1.0, f"no contention observed at N={clients}"
 

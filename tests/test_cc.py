@@ -8,11 +8,10 @@ import time
 
 import pytest
 
-from conftest import make_cluster, make_ctx
-from helenos import wire
+from conftest import committed_attempts, make_cluster, make_ctx
+from helenos import cc, wire
 from helenos.cc import (
     OccConflict,
-    TxnDescriptor,
     TxnView,
     begin,
     run_atomic,
@@ -54,17 +53,19 @@ def commit_outcome(handle) -> str:
 
 class TestDescriptors:
     def test_empty_access_set_rejected(self):
-        with pytest.raises(ConfigError):
-            TxnDescriptor(1, {})
+        ctx = make_ctx(make_cluster(2), Scheme.FGL)
+        with pytest.raises(ConfigError, match="^empty access set$"):
+            begin(ctx, 1, {})
 
     def test_zero_op_count_rejected(self):
-        with pytest.raises(ConfigError):
-            TxnDescriptor(1, {seq_bucket(1): 0})
+        ctx = make_ctx(make_cluster(2), Scheme.FGL)
+        with pytest.raises(ConfigError, match="^access set op counts must be >= 1$"):
+            begin(ctx, 1, {seq_bucket(1): 0})
 
     def test_undeclared_bucket_fails_the_run(self, scheme):
         cluster = make_cluster(2)
         ctx = make_ctx(cluster, scheme)
-        handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), {seq_bucket(1): 1}))
+        handle = begin(ctx, ctx.next_txn_id(), {seq_bucket(1): 1})
         with pytest.raises(AccessSetError):
             handle.access(seq_bucket(2), Read(seqno_key(2)))
         handle.commit()
@@ -72,7 +73,7 @@ class TestDescriptors:
     def test_exhausted_op_count_fails_the_run(self, scheme):
         cluster = make_cluster(2)
         ctx = make_ctx(cluster, scheme)
-        handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), {seq_bucket(1): 1}))
+        handle = begin(ctx, ctx.next_txn_id(), {seq_bucket(1): 1})
         handle.access(seq_bucket(1), Read(seqno_key(1)))
         with pytest.raises(AccessSetError):
             handle.access(seq_bucket(1), Read(seqno_key(1)))
@@ -87,7 +88,7 @@ class TestGLock:
 
         def worker(client_id: int) -> None:
             ctx = make_ctx(cluster, Scheme.GLOCK, client_id=client_id, delay_ms=20)
-            handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), {seq_bucket(1): 2}))
+            handle = begin(ctx, ctx.next_txn_id(), {seq_bucket(1): 2})
             start = time.monotonic()
             handle.access(seq_bucket(1), IncrSeq(seqno_key(1)))
             handle.access(seq_bucket(1), IncrSeq(seqno_key(1)))
@@ -107,12 +108,13 @@ class TestGLock:
     def test_single_client_matches_raw_storage_trace(self):
         cluster = make_cluster(1)
         ctx = make_ctx(cluster, Scheme.GLOCK)
+        ctx.sink = EventSink()
         result = run_atomic(
             ctx, "probe", {seq_bucket(4): 2},
             lambda tx: (tx.incr_seq(seqno_key(4)), tx.read(seqno_key(4))),
         )
-        assert result.payload == (SeqPair(1, 0), SeqPair(1, 0))
-        assert result.attempts == 1
+        assert result == (SeqPair(1, 0), SeqPair(1, 0))
+        assert committed_attempts(ctx.sink) == [1]
 
 
 STORAGE_OPCODES = {spec.opcode for spec in wire.OP_SPECS.values()}
@@ -200,7 +202,7 @@ def test_storage_reply_refused_as_unwrap_reply_refuses_it(change):
     cluster = make_cluster(2)
     ctx = make_ctx(cluster, Scheme.GLOCK)
     ctx.transport = tamper = TamperStorageReplies(cluster, change)
-    handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), {seq_bucket(1): 1}))
+    handle = begin(ctx, ctx.next_txn_id(), {seq_bucket(1): 1})
     with pytest.raises(ProtocolError) as got:
         handle.access(seq_bucket(1), Read(seqno_key(1)))
     request_id, reply = tamper.last
@@ -215,7 +217,7 @@ def test_storage_reply_with_another_header_bucket_is_accepted():
     cluster = make_cluster(2)
     ctx = make_ctx(cluster, Scheme.GLOCK)
     ctx.transport = TamperStorageReplies(cluster, lambda reply: reply[:12] + b"\x03" + reply[13:])
-    handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), {seq_bucket(1): 2}))
+    handle = begin(ctx, ctx.next_txn_id(), {seq_bucket(1): 2})
     assert handle.access(seq_bucket(1), IncrSeq(seqno_key(1))) == SeqPair(1, 0)
     assert handle.access(seq_bucket(1), Read(seqno_key(1))) == SeqPair(1, 0)
     handle.commit()
@@ -234,7 +236,7 @@ def test_wrongly_typed_append_refused_before_sending(scheme, key, item, message)
     ctx = make_ctx(cluster, scheme)
     ctx.transport = recorder = RecordFrames(cluster, {Op.APPEND})
     bucket = bucket_of(key, B)
-    handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), {bucket: 1}))
+    handle = begin(ctx, ctx.next_txn_id(), {bucket: 1})
     with pytest.raises(ProtocolError, match=message):
         handle.access(bucket, Append(key, item))
     assert recorder.trace == []
@@ -246,7 +248,7 @@ class TestFgl:
         ctx = make_ctx(cluster, Scheme.FGL)
         ctx.transport = recorder = RecordFrames(cluster, {Op.FGL_LOCK, Op.FGL_UNLOCK})
         plan = {seq_bucket(1): 1, seq_bucket(2): 1, seq_bucket(3): 2}
-        handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), plan))
+        handle = begin(ctx, ctx.next_txn_id(), plan)
         handle.access(seq_bucket(1), Read(seqno_key(1)))
         handle.access(seq_bucket(3), Read(seqno_key(3)))
         handle.commit()
@@ -268,7 +270,7 @@ class TestFgl:
 
         def txn_a() -> None:
             ctx = make_ctx(cluster, Scheme.FGL, client_id=0)
-            handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), {beta: 1, gamma: 1}))
+            handle = begin(ctx, ctx.next_txn_id(), {beta: 1, gamma: 1})
             handle.access(beta, Read(seqno_key(1)))  # count hits 0: released now
             a_released_beta.set()
             assert a_committed.wait(5.0), "txn B never finished"
@@ -279,7 +281,7 @@ class TestFgl:
         def txn_b() -> None:
             ctx = make_ctx(cluster, Scheme.FGL, client_id=1)
             assert a_released_beta.wait(5.0)
-            handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), {beta: 1}))
+            handle = begin(ctx, ctx.next_txn_id(), {beta: 1})
             handle.access(beta, Read(seqno_key(1)))
             handle.commit()
             order.append("b_commit")
@@ -321,7 +323,7 @@ class TestPesv:
 
         def txn_a() -> None:
             ctx = make_ctx(cluster, Scheme.PESV, client_id=0, delay_ms=100)
-            handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), {bucket: 1}))
+            handle = begin(ctx, ctx.next_txn_id(), {bucket: 1})
             a_begun.set()
             handle.access(bucket, IncrSeq(seqno_key(1)))  # sleeps 100 ms, then releases
             times["a_done"] = time.monotonic()
@@ -330,7 +332,7 @@ class TestPesv:
         def txn_b() -> None:
             ctx = make_ctx(cluster, Scheme.PESV, client_id=1, delay_ms=0)
             assert a_begun.wait(5.0)
-            handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), {bucket: 1}))
+            handle = begin(ctx, ctx.next_txn_id(), {bucket: 1})
             times["b_started_access"] = time.monotonic()
             handle.access(bucket, IncrSeq(seqno_key(1)))
             times["b_done"] = time.monotonic()
@@ -351,7 +353,7 @@ class TestPesv:
         def worker(client_id: int) -> None:
             ctx = make_ctx(cluster, Scheme.PESV, client_id=client_id)
             barrier.wait()
-            handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), {bucket: 1}))
+            handle = begin(ctx, ctx.next_txn_id(), {bucket: 1})
             version = handle.held[Op.VER_RELEASE, bucket]  # the last access drops it
             handle.access(bucket, IncrSeq(seqno_key(3)))
             with lock:
@@ -370,7 +372,7 @@ class TestPesv:
         cluster = make_cluster(2)
         bucket = seq_bucket(1)
         ctx_a = make_ctx(cluster, Scheme.PESV, client_id=0)
-        handle_a = begin(ctx_a, TxnDescriptor(ctx_a.next_txn_id(), {bucket: 3}))
+        handle_a = begin(ctx_a, ctx_a.next_txn_id(), {bucket: 3})
         handle_a.commit()  # never accessed the bucket
         done = threading.Event()
 
@@ -395,30 +397,29 @@ class TestOcc:
             tx.write_seq(key, SeqPair(5, 2))
             return tx.read(key)
 
-        result = run_atomic(ctx, "probe", {seq_bucket(1): 2}, body)
-        assert result.payload == SeqPair(5, 2)
+        assert run_atomic(ctx, "probe", {seq_bucket(1): 2}, body) == SeqPair(5, 2)
 
     def test_writes_invisible_until_commit(self):
         cluster = make_cluster(2)
         ctx_w = make_ctx(cluster, Scheme.OCC, client_id=0)
         ctx_r = make_ctx(cluster, Scheme.OCC, client_id=1)
         key = seqno_key(1)
-        handle = begin(ctx_w, TxnDescriptor(ctx_w.next_txn_id(), {seq_bucket(1): 1}))
+        handle = begin(ctx_w, ctx_w.next_txn_id(), {seq_bucket(1): 1})
         handle.access(seq_bucket(1), WriteSeq(key, SeqPair(9, 0)))
         observed = run_atomic(ctx_r, "probe", {seq_bucket(1): 1},
                               lambda tx: tx.read(key))
-        assert observed.payload == SeqPair(0, 0)
+        assert observed == SeqPair(0, 0)
         handle.commit()
         observed = run_atomic(ctx_r, "probe", {seq_bucket(1): 1},
                               lambda tx: tx.read(key))
-        assert observed.payload == SeqPair(9, 0)
+        assert observed == SeqPair(9, 0)
 
     def test_uncontended_commit_first_attempt(self):
         cluster = make_cluster(2)
         ctx = make_ctx(cluster, Scheme.OCC)
-        result = run_atomic(ctx, "probe", {seq_bucket(1): 1},
-                            lambda tx: tx.incr_seq(seqno_key(1)))
-        assert result.attempts == 1
+        ctx.sink = EventSink()
+        run_atomic(ctx, "probe", {seq_bucket(1): 1}, lambda tx: tx.incr_seq(seqno_key(1)))
+        assert committed_attempts(ctx.sink) == [1]
 
     def test_forced_conflict_exactly_one_winner(self):
         cluster = make_cluster(2)
@@ -429,7 +430,7 @@ class TestOcc:
 
         def worker(client_id: int) -> None:
             ctx = make_ctx(cluster, Scheme.OCC, client_id=client_id)
-            handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), {bucket: 1}))
+            handle = begin(ctx, ctx.next_txn_id(), {bucket: 1})
             handle.access(bucket, IncrSeq(seqno_key(1)))
             barrier.wait()
             outcome = commit_outcome(handle)
@@ -462,7 +463,7 @@ class TestOcc:
             t.join()
         ctx = make_ctx(cluster, Scheme.OCC, client_id=99)
         final = run_atomic(ctx, "probe", {bucket: 1}, lambda tx: tx.read(seqno_key(1)))
-        assert final.payload == SeqPair(per_client * clients, 0)
+        assert final == SeqPair(per_client * clients, 0)
 
     def test_mixed_version_reads_rejected_eagerly(self):
         from helenos.model import TableKey, TableId
@@ -482,7 +483,7 @@ class TestOcc:
         shared = bucket_of(k1, B)
 
         ctx_a = make_ctx(cluster, Scheme.OCC, client_id=0)
-        handle = begin(ctx_a, TxnDescriptor(ctx_a.next_txn_id(), {shared: 2}))
+        handle = begin(ctx_a, ctx_a.next_txn_id(), {shared: 2})
         handle.access(shared, Read(k1))
         # A competitor commits a write to the same bucket in between.
         ctx_b = make_ctx(cluster, Scheme.OCC, client_id=1)
@@ -490,9 +491,11 @@ class TestOcc:
         with pytest.raises(OccConflict):
             handle.access(shared, Read(k2))
 
-    def test_retry_limit_aborts_run_with_diagnostic(self):
+    def test_retry_limit_aborts_run_with_diagnostic(self, monkeypatch):
         from helenos.errors import RetryLimitError
 
+        monkeypatch.setattr(cc, "RETRY_LIMIT", 3)
+        monkeypatch.setattr(cc, "BACKOFF_CAP_MS", 0.1)
         cluster = make_cluster(2)
         bucket = seq_bucket(1)
         stop = threading.Event()
@@ -500,14 +503,15 @@ class TestOcc:
         def competitor() -> None:
             ctx = make_ctx(cluster, Scheme.OCC, client_id=1)
             while not stop.is_set():
-                run_atomic(ctx, "bump", {bucket: 1}, lambda tx: tx.incr_seq(seqno_key(1)))
+                try:
+                    run_atomic(ctx, "bump", {bucket: 1}, lambda tx: tx.incr_seq(seqno_key(1)))
+                except RetryLimitError:
+                    pass  # the lowered limit holds for the competitor too: keep bumping
 
         t = threading.Thread(target=competitor, daemon=True)
         t.start()
         try:
             ctx = make_ctx(cluster, Scheme.OCC, client_id=0)
-            ctx.retry_limit = 3
-            ctx.backoff_cap_ms = 0.1
 
             def slow_rmw(tx):
                 pair = tx.read(seqno_key(1))
@@ -532,8 +536,7 @@ class TestOcc:
 
         def worker(client_id: int, read_key, read_bucket, write_key, write_bucket) -> None:
             ctx = make_ctx(cluster, Scheme.OCC, client_id=client_id)
-            handle = begin(ctx, TxnDescriptor(
-                ctx.next_txn_id(), {read_bucket: 1, write_bucket: 1}))
+            handle = begin(ctx, ctx.next_txn_id(), {read_bucket: 1, write_bucket: 1})
             observed = handle.access(read_bucket, Read(read_key))
             barrier.wait()
             handle.access(write_bucket, WriteSeq(write_key, SeqPair(observed.current + 1, 0)))
@@ -554,25 +557,23 @@ class TestRunAtomic:
             pytest.skip("optimistic scheme may retry")
         cluster = make_cluster(2)
         clients = 4
-        attempts: list[int] = []
-        lock = threading.Lock()
+        sink = EventSink()
         barrier = threading.Barrier(clients)
 
         def worker(client_id: int) -> None:
             ctx = make_ctx(cluster, scheme, client_id=client_id)
+            ctx.sink = sink
             barrier.wait()
             for _ in range(10):
-                r = run_atomic(ctx, "incr", {seq_bucket(1): 1},
-                               lambda tx: tx.incr_seq(seqno_key(1)))
-                with lock:
-                    attempts.append(r.attempts)
+                run_atomic(ctx, "incr", {seq_bucket(1): 1},
+                           lambda tx: tx.incr_seq(seqno_key(1)))
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(clients)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert set(attempts) == {1}
+        assert committed_attempts(sink) == [1] * (clients * 10)
 
     def test_counter_correct_under_every_scheme(self, scheme):
         cluster = make_cluster(2)
@@ -594,7 +595,7 @@ class TestRunAtomic:
         ctx = make_ctx(cluster, scheme, client_id=99)
         final = run_atomic(ctx, "probe", {seq_bucket(7): 1},
                            lambda tx: tx.read(seqno_key(7)))
-        assert final.payload.current == clients * per_client
+        assert final.current == clients * per_client
 
 
 class TestAbandon:
@@ -610,9 +611,9 @@ class TestAbandon:
             run_atomic(ctx, "bad", {seq_bucket(1): 2}, bad_body)
         # The cluster must stay usable and quiescent afterwards.
         ctx2 = make_ctx(cluster, scheme, client_id=2)
-        result = run_atomic(ctx2, "probe", {seq_bucket(1): 1},
-                            lambda tx: tx.incr_seq(seqno_key(1)))
-        assert result.attempts == 1
+        ctx2.sink = EventSink()
+        run_atomic(ctx2, "probe", {seq_bucket(1): 1}, lambda tx: tx.incr_seq(seqno_key(1)))
+        assert committed_attempts(ctx2.sink) == [1]
         for node in cluster.nodes.values():
             assert node.quiescent()
 
@@ -786,7 +787,9 @@ def test_success_path_frame_order(scheme):
     cluster = make_cluster(2)
     ctx = make_ctx(cluster, scheme)
     ctx.transport = recorder = RecordFrames(cluster, ALL_REQUEST_OPCODES)
-    assert run_atomic(ctx, "probe", PLAN, three_bucket_body).attempts == 1
+    ctx.sink = EventSink()
+    run_atomic(ctx, "probe", PLAN, three_bucket_body)
+    assert committed_attempts(ctx.sink) == [1]
     assert recorder.trace == FRAME_ORDERS[scheme]
 
 
@@ -794,7 +797,7 @@ def test_failed_validation_frame_order():
     cluster = make_cluster(2)
     ctx = make_ctx(cluster, Scheme.OCC)
     ctx.transport = recorder = RecordFrames(cluster, ALL_REQUEST_OPCODES)
-    handle = begin(ctx, TxnDescriptor(ctx.next_txn_id(), PLAN))
+    handle = begin(ctx, ctx.next_txn_id(), PLAN)
     handle.access(B1, Read(K1))
     handle.access(B2, IncrSeq(K2))
     competitor = make_ctx(cluster, Scheme.OCC, client_id=1)

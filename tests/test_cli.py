@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import os
@@ -16,7 +17,7 @@ from dataclasses import replace
 import pytest
 
 from helenos import wire
-from helenos.cli import main
+from helenos.cli import _mean_row, main
 from helenos.config import (
     TaskType,
     apply_overrides,
@@ -210,6 +211,31 @@ class TestRunCommand:
         assert len(lines) == 1 + 2 + 1  # header, two repetitions, mean
         assert lines[-1].split(",")[2] == "mean"
 
+    def test_mean_row_leaves_a_column_some_repetition_lacks_empty(self):
+        rows = [{"seed": 5, "commits": 2, "mft_get_by_keyword_s": 0.4},
+                {"seed": 7, "commits": 4},
+                {"seed": 9, "commits": 6, "mft_get_by_keyword_s": 0.1}]
+        mean = _mean_row(rows)
+        assert mean["seed"] == "mean" and mean["commits"] == 4.0
+        assert "mft_get_by_keyword_s" not in mean
+
+    def test_repeat_mean_row_of_a_kind_not_every_repetition_ran(self, tmp_path):
+        # Seed 7's run commits neither kind below, and seed 9's no reset_cutoff.
+        out = tmp_path / "report.csv"
+        code = run_cli(
+            "run", "--config", "standard", "--in-process", "2",
+            "--override", "tasks_per_client=1", "--override", "clients=2",
+            "--override", "op_delay_ms=0", "--repeat", "3", "--seed", "5",
+            "--out", str(out),
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [row["seed"] for row in rows] == ["5", "7", "9", "mean"]
+        for col in ("mft_get_by_keyword_s", "mft_reset_cutoff_s"):
+            assert rows[0][col] and not rows[1][col]
+            assert rows[3][col] == ""
+        assert float(rows[3]["commits"]) == sum(int(row["commits"]) for row in rows[:3]) / 3
+
     def test_repetition_seeds_are_spaced_past_the_client_ids(self, tmp_path):
         out = tmp_path / "report.csv"
         code = run_cli(
@@ -312,7 +338,7 @@ class TestVerifyCommand:
 
         events.append(ClientStart(0, 0))
         for effect in history.effects:
-            events.append(TxnStart(effect.commit_ns - 10, effect.txn_id, 0, effect.kind))
+            events.append(TxnStart(effect.commit_ns - 10, effect.txn_id, 0, "skew"))
             for op in effect.ops:
                 events.append(BucketOp(effect.commit_ns - 5, effect.txn_id, 0, 1,
                                        op.bucket, op.op_index, op.kind, op.key,

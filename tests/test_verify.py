@@ -45,77 +45,68 @@ def effect_op(op_index, bucket, kind, key, value, bucket_seq) -> BucketOp:
 
 
 def write_skew_history() -> tuple[History, dict]:
-    t1 = TxnEffect(1, "skew", 100, [
+    t1 = TxnEffect(1, 100, [
         effect_op(1, BX, "read", KX, SeqPair(0, 0), 1),
         effect_op(2, BY, "write_seq", KY, SeqPair(1, 0), 2),
     ])
-    t2 = TxnEffect(2, "skew", 101, [
+    t2 = TxnEffect(2, 101, [
         effect_op(1, BY, "read", KY, SeqPair(0, 0), 1),
         effect_op(2, BX, "write_seq", KX, SeqPair(1, 0), 2),
     ])
-    history = History(
-        effects=[t1, t2],
-        bucket_order={
-            BX: [(1, 1, "read"), (2, 2, "write_seq")],
-            BY: [(1, 2, "read"), (2, 1, "write_seq")],
-        },
-    )
-    final = {KX: SeqPair(1, 0), KY: SeqPair(1, 0)}
-    return history, final
+    return History([t1, t2]), {KX: SeqPair(1, 0), KY: SeqPair(1, 0)}
 
 
 def lost_update_history() -> tuple[History, dict]:
     """Both transactions read X, then both write X: one update is lost."""
-    t1 = TxnEffect(1, "lost", 100, [
+    t1 = TxnEffect(1, 100, [
         effect_op(1, BX, "read", KX, SeqPair(0, 0), 1),
         effect_op(2, BX, "write_seq", KX, SeqPair(1, 0), 3),
     ])
-    t2 = TxnEffect(2, "lost", 101, [
+    t2 = TxnEffect(2, 101, [
         effect_op(1, BX, "read", KX, SeqPair(0, 0), 2),
         effect_op(2, BX, "write_seq", KX, SeqPair(1, 0), 4),
     ])
-    history = History(
-        effects=[t1, t2],
-        bucket_order={BX: [(1, 1, "read"), (2, 2, "read"), (3, 1, "write_seq"),
-                           (4, 2, "write_seq")]},
-    )
-    return history, {KX: SeqPair(1, 0)}
+    return History([t1, t2]), {KX: SeqPair(1, 0)}
 
 
 def stale_read_history() -> tuple[History, dict]:
     """T3 sees T2's write, which read T1's write, yet reads X from before T1."""
-    t1 = TxnEffect(1, "w", 100, [effect_op(1, BX, "write_seq", KX, SeqPair(1, 0), 2)])
-    t2 = TxnEffect(2, "rw", 101, [
+    t1 = TxnEffect(1, 100, [effect_op(1, BX, "write_seq", KX, SeqPair(1, 0), 2)])
+    t2 = TxnEffect(2, 101, [
         effect_op(1, BX, "read", KX, SeqPair(1, 0), 3),
         effect_op(2, BY, "write_seq", KY, SeqPair(1, 0), 1),
     ])
-    t3 = TxnEffect(3, "rr", 102, [
+    t3 = TxnEffect(3, 102, [
         effect_op(1, BY, "read", KY, SeqPair(1, 0), 2),
         effect_op(2, BX, "read", KX, SeqPair(0, 0), 1),
     ])
-    history = History(
-        effects=[t1, t2, t3],
-        bucket_order={
-            BX: [(1, 3, "read"), (2, 1, "write_seq"), (3, 2, "read")],
-            BY: [(1, 2, "write_seq"), (2, 3, "read")],
-        },
-    )
-    return history, {KX: SeqPair(1, 0), KY: SeqPair(1, 0)}
+    return History([t1, t2, t3]), {KX: SeqPair(1, 0), KY: SeqPair(1, 0)}
 
 
 def chain_history(n: int) -> History:
     """Transaction i writes bucket i-1, which transaction i-1 wrote, and bucket i."""
     buckets = [BucketId(TableId.SEQNO, i) for i in range(n)]
     effects = []
-    bucket_order: dict = {b: [] for b in buckets}
+    writes = dict.fromkeys(buckets, 0)
     for i in range(n):
         ops = []
         for op_index, b in enumerate(buckets[max(i - 1, 0):i + 1], start=1):
-            seq = len(bucket_order[b]) + 1
-            ops.append(effect_op(op_index, b, "write_seq", seqno_key(b.index), SeqPair(i, 0), seq))
-            bucket_order[b].append((seq, i, "write_seq"))
-        effects.append(TxnEffect(i, "chain", i, ops))
-    return History(effects, bucket_order)
+            writes[b] += 1
+            ops.append(effect_op(op_index, b, "write_seq", seqno_key(b.index), SeqPair(i, 0),
+                                 writes[b]))
+        effects.append(TxnEffect(i, i, ops))
+    return History(effects)
+
+
+def ops_history(orders: dict) -> History:
+    """A history of the ops the graph check reads, given as each bucket's
+    apply order ``[(bucket_seq, txn, kind)]``; transaction t commits at t."""
+    ops: dict[int, list[BucketOp]] = {}
+    for bucket, order in orders.items():
+        for seq, txn, kind in order:
+            mine = ops.setdefault(txn, [])
+            mine.append(effect_op(len(mine) + 1, bucket, kind, seqno_key(bucket.index), None, seq))
+    return History([TxnEffect(txn, txn, ops[txn]) for txn in sorted(ops)])
 
 
 def small_cfg(**kw) -> ScenarioConfig:
@@ -158,8 +149,8 @@ class TestBruteForce:
         assert not verdict.ok
 
     def test_incr_seq_effect_asserts_predecessor(self):
-        t = TxnEffect(1, "incr", 10, [effect_op(1, BX, "incr_seq", KX, SeqPair(5, 0), 1)])
-        history = History([t], {BX: [(1, 1, "incr_seq")]})
+        t = TxnEffect(1, 10, [effect_op(1, BX, "incr_seq", KX, SeqPair(5, 0), 1)])
+        history = History([t])
         ok = brute_force_serializable(history, {KX: SeqPair(5, 0)},
                                       initial_state={KX: SeqPair(4, 0)})
         assert ok.ok
@@ -174,9 +165,9 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("txns, mode", [(10, "brute-force"), (11, "conflict-graph")])
     def test_check_picked_by_history_size(self, txns, mode):
-        effects = [TxnEffect(i, "t", i, [effect_op(1, BX, "read", KX, SeqPair(0, 0), i)])
+        effects = [TxnEffect(i, i, [effect_op(1, BX, "read", KX, SeqPair(0, 0), i)])
                    for i in range(txns)]
-        history = History(effects, {BX: [(i, i, "read") for i in range(txns)]})
+        history = History(effects)
         verdict = check_serializable(history, {})
         assert verdict.ok and verdict.mode == mode
 
@@ -217,8 +208,7 @@ class TestConflictGraph:
         # Edges 3->1 (BX), 5->2 (BY), 4->3 (BZ); ready transactions are taken
         # lowest id first and successors are released in ascending id order.
         bz = BucketId(TableId.SEQNO, 2)
-        effects = [TxnEffect(t, "t", t, []) for t in (1, 2, 3, 4, 5)]
-        history = History(effects, {
+        history = ops_history({
             BX: [(1, 3, "write_seq"), (2, 1, "read")],
             BY: [(1, 5, "append"), (2, 2, "remove")],
             bz: [(1, 4, "read"), (2, 3, "incr_seq")],
@@ -244,7 +234,7 @@ class TestConflictGraph:
     @pytest.mark.parametrize("spec", OP_SPECS.values(), ids=lambda spec: spec.kind)
     def test_op_kind_conflicts_exactly_when_its_row_writes(self, spec):
         # T1 does the op on X, T2 reads X and writes Y, and T1 then reads Y.
-        history = History([TxnEffect(t, "t", t, []) for t in (1, 2)], {
+        history = ops_history({
             BX: [(1, 1, spec.kind), (2, 2, "read")],
             BY: [(1, 2, "write_seq"), (2, 1, "read")],
         })
@@ -255,7 +245,7 @@ class TestConflictGraph:
     def test_unknown_op_kind_refused(self):
         # With "append" this history has the cycle 1 -> 2; a misspelled kind
         # must not be taken for a read and give a false "serializable".
-        history = History([TxnEffect(t, "t", t, []) for t in (1, 2)], {
+        history = ops_history({
             BX: [(1, 1, "apend"), (2, 2, "read")],
             BY: [(1, 2, "write_seq"), (2, 1, "read")],
         })
@@ -263,9 +253,9 @@ class TestConflictGraph:
             conflict_graph_serializable(history)
 
     def test_read_read_is_not_a_conflict(self):
-        t1 = TxnEffect(1, "r", 10, [effect_op(1, BX, "read", KX, SeqPair(0, 0), 1)])
-        t2 = TxnEffect(2, "r", 11, [effect_op(1, BX, "read", KX, SeqPair(0, 0), 2)])
-        history = History([t1, t2], {BX: [(1, 1, "read"), (2, 2, "read")]})
+        t1 = TxnEffect(1, 10, [effect_op(1, BX, "read", KX, SeqPair(0, 0), 1)])
+        t2 = TxnEffect(2, 11, [effect_op(1, BX, "read", KX, SeqPair(0, 0), 2)])
+        history = History([t1, t2])
         verdict = conflict_graph_serializable(history)
         assert verdict.ok
 

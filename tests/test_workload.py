@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import make_cluster, make_ctx
+from conftest import committed_attempts, make_cluster, make_ctx
 from helenos import cc, driver
 from helenos import workload as wl
 from helenos.cc import TxnContext, run_atomic
@@ -60,43 +60,43 @@ class Rig:
         return run_atomic(
             self.ctx, "send_msg", wl.plan_send_msg(B, sender, recipient, content),
             lambda tx: wl.txn_send_msg(tx, sender, recipient, content),
-        ).payload
+        )
 
     def association(self, u1: int, u2: int):
         return run_atomic(
             self.ctx, "get_association", wl.plan_get_association(B, u1, u2),
             lambda tx: wl.txn_get_association(tx, u1, u2),
-        ).payload
+        )
 
     def by_keyword(self, user: int, kws):
         return run_atomic(
             self.ctx, "get_by_keyword", wl.plan_get_by_keyword(B, user, kws),
             lambda tx: wl.txn_get_by_keyword(tx, user, kws),
-        ).payload
+        )
 
     def conversation(self, s: int, r: int, both=False):
         return run_atomic(
             self.ctx, "get_conversation", wl.plan_get_conversation(B, s, r, both),
             lambda tx: wl.txn_get_conversation(tx, s, r, both),
-        ).payload
+        )
 
     def get_messages(self, ids):
         return run_atomic(
             self.ctx, "get_messages", wl.plan_get_messages(B, ids),
             lambda tx: wl.txn_get_messages(tx, ids),
-        ).payload
+        )
 
     def index(self, queries, cap=3):
         return run_atomic(
             self.ctx, "index_messages", wl.plan_index_messages(B, queries),
             lambda tx: wl.txn_index_messages(tx, queries, cap),
-        ).payload
+        )
 
     def reset_cutoff(self, user: int) -> SeqPair:
         return run_atomic(
             self.ctx, "reset_cutoff", wl.plan_reset_cutoff(B, user),
             lambda tx: wl.txn_reset_cutoff(tx, user),
-        ).payload
+        )
 
     def remove(self, messages) -> None:
         run_atomic(
@@ -108,7 +108,7 @@ class Rig:
         return run_atomic(
             self.ctx, "import_messages", wl.plan_import_messages(B, messages),
             lambda tx: wl.txn_import_messages(tx, messages),
-        ).payload
+        )
 
 
 @pytest.fixture
@@ -386,12 +386,13 @@ class TestTasks:
         builder = wl._PlanBuilder(B)
         for r in recipients:
             wl._plan_one_send(builder, A, r, content)
-        result = run_atomic(
+        rig.ctx.sink = EventSink()
+        ids = run_atomic(
             rig.ctx, "send_msg", builder,
             lambda tx: [wl.txn_send_msg(tx, A, r, content) for r in recipients],
         )
-        assert result.attempts == 1 or rig.scheme is Scheme.OCC
-        assert result.payload == [MsgId(r, 1) for r in recipients]
+        assert committed_attempts(rig.ctx.sink) == [1] or rig.scheme is Scheme.OCC
+        assert ids == [MsgId(r, 1) for r in recipients]
         state = rig.state()
         for r in recipients:
             assert state[seqno_key(r)] == SeqPair(1, 0)
@@ -505,15 +506,22 @@ class TestRunClients:
         assert retries == []
         assert all(c.attempt == 1 for c in commits)
 
-    def test_total_tasks_is_clients_times_tasks(self):
+    def test_total_tasks_is_clients_times_tasks(self, monkeypatch):
         from helenos.driver import run_clients
-        from helenos.metrics import EventSink
         from helenos.transport import LoopbackCluster
 
+        tasks = Counter()
+        run_task = wl.ClientRuntime.run_task
+
+        def counted(runtime, task):
+            tasks[runtime.ctx.client_id] += 1
+            return run_task(runtime, task)
+
+        monkeypatch.setattr(wl.ClientRuntime, "run_task", counted)
         cfg = self.small_cfg(clients=3, tasks_per_client=4, scheme=Scheme.FGL)
         cluster = LoopbackCluster(cfg.node_ids())
-        done = run_clients(cfg, cluster.layout, lambda _i: cluster, EventSink())
-        assert done == 12
+        run_clients(cfg, cluster.layout, lambda _i: cluster, EventSink())
+        assert tasks == {0: 4, 1: 4, 2: 4}
 
     def test_per_client_task_sequences_replay(self):
         # State-independent mix so the drawn sequence is visible in events.
