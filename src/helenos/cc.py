@@ -17,7 +17,9 @@
 ``begin(ctx, txn_id, access, attempt)`` starts one attempt over a declared
 access set, bucket -> op-count upper bound. ``run_atomic`` runs attempts
 until one commits and returns its body's value; the attempt's number is on
-the sink's commit row.
+the sink's commit row. The body is given the attempt's ``TxnHandle``, whose
+typed verbs (``read``, ``append``, ``remove``, ``write_seq``, ``incr_seq``)
+map each key to its bucket through the plan.
 
 Only occ can abort; the other three always commit on the first attempt.
 An optimistic attempt aborts by raising ``OccConflict``, mid-execution when
@@ -42,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from .errors import AccessSetError, ConfigError, RetryLimitError, TxnStateError
+from .metrics import EventSink
 from .model import BucketId, Message, MsgId, RingLayout, SeqPair, TableKey, bucket_of
 from .transport import Transport, unwrap_reply, unwrap_storage_reply
 from .wire import (
@@ -89,7 +92,7 @@ class TxnContext:
     backoff_rng: random.Random = field(default_factory=random.Random)
     clock: Callable[[], int] = time.monotonic_ns
     sleep: Callable[[float], None] = time.sleep
-    sink: Any = None  # metrics.EventSink or None
+    sink: EventSink = field(default_factory=EventSink)
     # Request and txn ids, (client_id << 32) | n for n = 1, 2, ...: each is a
     # bound count.__next__, which hands out an id without a Python-level call.
     next_request_id: Callable[[], int] = field(init=False, repr=False, compare=False)
@@ -115,6 +118,20 @@ _RESULT_AT = STORAGE_OK_HEAD.size  # where a storage OK reply's result starts
 _VER_RELEASE = Op.VER_RELEASE  # read per pesv access: an Enum member lookup is slow
 
 
+class AccessPlan(dict):
+    """A declared access set, bucket -> op-count bound, that also remembers
+    the bucket of each planned key (hashed with ``buckets_per_table``), so
+    that the transaction body's verbs look keys up instead of hashing them
+    again. A planner fills both in place."""
+
+    __slots__ = ("buckets_per_table", "key_buckets")
+
+    def __init__(self, buckets_per_table: int) -> None:
+        super().__init__()
+        self.buckets_per_table = buckets_per_table
+        self.key_buckets: dict[TableKey, BucketId] = {}
+
+
 class TxnHandle:
     """Live state of one transaction attempt under one scheme. ``plan`` is the
     declared access set, bucket -> op-count bound. ``held`` is its release
@@ -136,6 +153,31 @@ class TxnHandle:
         # Op indexes 1, 2, ... in program order, from a bound count.__next__.
         self._next_op_index = itertools.count(1).__next__
         self._done = False
+        self._known = (plan.key_buckets if isinstance(plan, AccessPlan)
+                       and plan.buckets_per_table == ctx.buckets_per_table else {})
+
+    # -- typed verbs: a planned key's bucket comes from the plan; any other
+    # key is hashed, so an undeclared key still reaches the access-set check.
+
+    def read(self, key: TableKey):
+        bucket = self._known.get(key) or bucket_of(key, self.ctx.buckets_per_table)
+        return self.access(bucket, Read(key))
+
+    def append(self, key: TableKey, item: MsgId | Message):
+        bucket = self._known.get(key) or bucket_of(key, self.ctx.buckets_per_table)
+        return self.access(bucket, Append(key, item))
+
+    def remove(self, key: TableKey, item: MsgId) -> None:
+        bucket = self._known.get(key) or bucket_of(key, self.ctx.buckets_per_table)
+        self.access(bucket, Remove(key, item))
+
+    def write_seq(self, key: TableKey, pair: SeqPair) -> None:
+        bucket = self._known.get(key) or bucket_of(key, self.ctx.buckets_per_table)
+        self.access(bucket, WriteSeq(key, pair))
+
+    def incr_seq(self, key: TableKey) -> SeqPair:
+        bucket = self._known.get(key) or bucket_of(key, self.ctx.buckets_per_table)
+        return self.access(bucket, IncrSeq(key))
 
     # -- scheme hooks ----------------------------------------------------
 
@@ -219,10 +261,9 @@ class TxnHandle:
         spec = OP_SPECS[type(op)]
         key = op.key
         result = spec.decode_result[key.table](reply, _RESULT_AT)[0]
-        sink = ctx.sink
-        if record and sink is not None:
-            sink.bucket_op(ctx.clock(), txn_id, ctx.client_id, self.attempt, bucket, op_index,
-                           spec.kind, key, result, bucket_seq)
+        if record:
+            ctx.sink.bucket_op(ctx.clock(), txn_id, ctx.client_id, self.attempt, bucket,
+                               op_index, spec.kind, key, result, bucket_seq)
         return result, version, bucket_seq
 
 
@@ -318,9 +359,8 @@ class OccHandle(TxnHandle):
         # Recorded as observed: the transaction's logical read includes its
         # own buffered writes.
         ctx = self.ctx
-        if ctx.sink is not None:
-            ctx.sink.bucket_op(ctx.clock(), self.txn_id, ctx.client_id, self.attempt,
-                               bucket, op_index, OP_SPECS[Read].kind, key, value, bucket_seq)
+        ctx.sink.bucket_op(ctx.clock(), self.txn_id, ctx.client_id, self.attempt, bucket,
+                           op_index, OP_SPECS[Read].kind, key, value, bucket_seq)
         return value
 
     # -- commit phase -----------------------------------------------------
@@ -367,88 +407,35 @@ def begin(ctx: TxnContext, txn_id: int, access: Mapping[BucketId, int],
     return handle
 
 
-class AccessPlan(dict):
-    """A declared access set, bucket -> op-count bound, that also remembers
-    the bucket of each planned key (hashed with ``buckets_per_table``), so
-    that the transaction body's verbs look keys up instead of hashing them
-    again. A planner fills both in place."""
-
-    __slots__ = ("buckets_per_table", "key_buckets")
-
-    def __init__(self, buckets_per_table: int) -> None:
-        super().__init__()
-        self.buckets_per_table = buckets_per_table
-        self.key_buckets: dict[TableKey, BucketId] = {}
-
-
-class TxnView:
-    """Typed storage verbs bound to one live transaction handle.
-
-    ``key_buckets`` holds buckets already computed for some keys; any
-    other key is hashed, so an undeclared key still reaches the access-set
-    check.
-    """
-
-    def __init__(self, handle: TxnHandle, buckets_per_table: int,
-                 key_buckets: Mapping[TableKey, BucketId] | None = None) -> None:
-        self._handle = handle
-        self._buckets = buckets_per_table
-        self._known = key_buckets or {}
-
-    def read(self, key: TableKey):
-        bucket = self._known.get(key) or bucket_of(key, self._buckets)
-        return self._handle.access(bucket, Read(key))
-
-    def append(self, key: TableKey, item: MsgId | Message):
-        bucket = self._known.get(key) or bucket_of(key, self._buckets)
-        return self._handle.access(bucket, Append(key, item))
-
-    def remove(self, key: TableKey, item: MsgId) -> None:
-        bucket = self._known.get(key) or bucket_of(key, self._buckets)
-        self._handle.access(bucket, Remove(key, item))
-
-    def write_seq(self, key: TableKey, pair: SeqPair) -> None:
-        bucket = self._known.get(key) or bucket_of(key, self._buckets)
-        self._handle.access(bucket, WriteSeq(key, pair))
-
-    def incr_seq(self, key: TableKey) -> SeqPair:
-        bucket = self._known.get(key) or bucket_of(key, self._buckets)
-        return self._handle.access(bucket, IncrSeq(key))
-
-
 def run_atomic(
     ctx: TxnContext,
     kind: str,
     access: Mapping[BucketId, int],
-    body: Callable[[TxnView], Any],
+    body: Callable[[TxnHandle], Any],
 ) -> Any:
     """Execute ``body`` atomically, retrying aborted attempts with backoff;
     returns the committed attempt's body value."""
     txn_id = ctx.next_txn_id()
-    key_buckets = (access.key_buckets if isinstance(access, AccessPlan)
-                   and access.buckets_per_table == ctx.buckets_per_table else None)
-    if ctx.sink is not None:
-        ctx.sink.txn_start(ctx.clock(), txn_id, ctx.client_id, kind)
+    sink = ctx.sink
+    sink.txn_start(ctx.clock(), txn_id, ctx.client_id, kind)
     for attempt in range(1, RETRY_LIMIT + 1):
-        if attempt >= 2 and ctx.sink is not None:
-            ctx.sink.retry_start(ctx.clock(), txn_id, ctx.client_id, attempt)
+        if attempt >= 2:
+            sink.retry_start(ctx.clock(), txn_id, ctx.client_id, attempt)
         handle = begin(ctx, txn_id, access, attempt)
         try:
-            payload = body(TxnView(handle, ctx.buckets_per_table, key_buckets))
+            payload = body(handle)
             handle.commit()
+            return payload
         except OccConflict:
             pass  # the aborted attempt holds nothing: back off and retry
         except BaseException:
-            if handle.committed and ctx.sink is not None:
-                # The writes landed and then a release failed: the log still
-                # records the commit, so that a check sees those writes.
-                ctx.sink.commit(ctx.clock(), txn_id, ctx.client_id, attempt)
             handle.abandon()  # do not leave locks or versions behind
             raise
-        else:
-            if ctx.sink is not None:
-                ctx.sink.commit(ctx.clock(), txn_id, ctx.client_id, attempt)
-            return payload
+        finally:
+            # Also when a release failed after the writes landed: the log
+            # records the commit, so that a check sees those writes.
+            if handle.committed:
+                sink.commit(ctx.clock(), txn_id, ctx.client_id, attempt)
         window_ms = min(BACKOFF_CAP_MS, BACKOFF_BASE_MS * (2 ** (attempt - 1)))
         ctx.sleep(ctx.backoff_rng.uniform(0.0, window_ms) / 1000.0)
     raise RetryLimitError(f"transaction {txn_id} ({kind}) exceeded {RETRY_LIMIT} attempts")

@@ -8,6 +8,7 @@ parse(text).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
@@ -81,11 +82,12 @@ class ScenarioConfig:
             raise ConfigError("multicast recipients cannot exceed the other users")
         if set(self.probabilities) != set(TaskType):
             raise ConfigError("probabilities must cover every task type exactly")
+        for task, p in self.probabilities.items():
+            if not (math.isfinite(p) and p >= 0):  # NaN fails every comparison
+                raise ConfigError(f"task probability {task.value} = {p} must be finite and >= 0")
         total = sum(self.probabilities.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"task probabilities sum to {total}, expected 1")
-        if any(p < 0 for p in self.probabilities.values()):
-            raise ConfigError("task probabilities must be >= 0")
         if self.endpoints and len(self.endpoints) != self.nodes:
             raise ConfigError("endpoints must match the node count")
 

@@ -100,9 +100,8 @@ def run_clients(
             for _ in range(cfg.tasks_per_client):
                 for runtime in group:
                     runtime.run_task(pick_task(cfg, runtime.rng))
-        except BaseException as exc:
+        except BaseException as exc:  # run_clients raises it once every thread ended
             errors.append(exc)
-            raise
         finally:
             for runtime in group:
                 sink.client_end(runtime.ctx.clock(), runtime.ctx.client_id)

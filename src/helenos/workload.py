@@ -2,8 +2,8 @@
 
 Each transaction comes as a pair: an access-set planner (a pure function
 of the transaction's parameters, computable before begin) and a body that
-issues the storage operations through a live transaction view. Table
-lookups are direct keyed accesses, so every touched key is known up
+issues the storage operations through the attempt's transaction handle.
+Table lookups are direct keyed accesses, so every touched key is known up
 front; this is what lets the lock-ordering and versioning schemes declare
 their access sets a priori. A planner returns the ``AccessPlan`` it fills,
 which also gives the body's verbs the bucket of each planned key.
@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .cc import AccessPlan, TxnContext, TxnView, run_atomic
+from .cc import AccessPlan, TxnContext, TxnHandle, run_atomic
 from .config import ScenarioConfig, TaskType
 from .model import (
     Message,
@@ -34,8 +34,6 @@ from .model import (
     seqno_key,
     term_key,
 )
-
-Plan = AccessPlan
 
 
 class _PlanBuilder(AccessPlan):
@@ -56,7 +54,7 @@ class _PlanBuilder(AccessPlan):
 # Transactions
 
 
-def plan_get_association(b: int, u1: int, u2: int) -> Plan:
+def plan_get_association(b: int, u1: int, u2: int) -> AccessPlan:
     p = _PlanBuilder(b)
     p.add(inter_key(u1, u2))
     p.add(inter_key(u2, u1))
@@ -65,28 +63,28 @@ def plan_get_association(b: int, u1: int, u2: int) -> Plan:
     return p
 
 
-def txn_get_association(tx: TxnView, u1: int, u2: int) -> tuple[list[MsgId], list[SeqPair]]:
+def txn_get_association(tx: TxnHandle, u1: int, u2: int) -> tuple[list[MsgId], list[SeqPair]]:
     ids = list(tx.read(inter_key(u1, u2)))
     ids.extend(tx.read(inter_key(u2, u1)))
     pairs = [tx.read(seqno_key(u1)), tx.read(seqno_key(u2))]
     return ids, pairs
 
 
-def plan_get_by_keyword(b: int, user: int, keywords: Iterable[int]) -> Plan:
+def plan_get_by_keyword(b: int, user: int, keywords: Iterable[int]) -> AccessPlan:
     p = _PlanBuilder(b)
     for kw in sorted(set(keywords)):
         p.add(term_key(user, kw))
     return p
 
 
-def txn_get_by_keyword(tx: TxnView, user: int, keywords: Iterable[int]) -> set[MsgId]:
+def txn_get_by_keyword(tx: TxnHandle, user: int, keywords: Iterable[int]) -> set[MsgId]:
     found: set[MsgId] = set()
     for kw in sorted(set(keywords)):
         found.update(tx.read(term_key(user, kw)))
     return found
 
 
-def plan_get_conversation(b: int, sender: int, recipient: int, both: bool = False) -> Plan:
+def plan_get_conversation(b: int, sender: int, recipient: int, both: bool = False) -> AccessPlan:
     p = _PlanBuilder(b)
     p.add(inter_key(sender, recipient))
     if both:
@@ -94,7 +92,7 @@ def plan_get_conversation(b: int, sender: int, recipient: int, both: bool = Fals
     return p
 
 
-def txn_get_conversation(tx: TxnView, sender: int, recipient: int,
+def txn_get_conversation(tx: TxnHandle, sender: int, recipient: int,
                          both: bool = False) -> list[MsgId]:
     ids = list(tx.read(inter_key(sender, recipient)))
     if both:
@@ -102,14 +100,14 @@ def txn_get_conversation(tx: TxnView, sender: int, recipient: int,
     return ids
 
 
-def plan_get_messages(b: int, ids: Sequence[MsgId]) -> Plan:
+def plan_get_messages(b: int, ids: Sequence[MsgId]) -> AccessPlan:
     p = _PlanBuilder(b)
     for recipient in _distinct(m.recipient for m in ids):
         p.add(message_key(recipient))
     return p
 
 
-def txn_get_messages(tx: TxnView, ids: Sequence[MsgId]) -> list[Message]:
+def txn_get_messages(tx: TxnHandle, ids: Sequence[MsgId]) -> list[Message]:
     by_id: dict[MsgId, Message] = {}
     for recipient in _distinct(m.recipient for m in ids):
         for msg in tx.read(message_key(recipient)):
@@ -124,7 +122,7 @@ def _distinct(items: Iterable[int]) -> list[int]:
     return list(seen)
 
 
-def plan_index_messages(b: int, queries: dict[int, set[int]]) -> Plan:
+def plan_index_messages(b: int, queries: dict[int, set[int]]) -> AccessPlan:
     p = _PlanBuilder(b)
     for user in sorted(queries):
         for kw in sorted(queries[user]):
@@ -135,7 +133,7 @@ def plan_index_messages(b: int, queries: dict[int, set[int]]) -> Plan:
     return p
 
 
-def txn_index_messages(tx: TxnView, queries: dict[int, set[int]],
+def txn_index_messages(tx: TxnHandle, queries: dict[int, set[int]],
                        index_cap: int) -> tuple[list[Message], list[SeqPair]]:
     ids: set[MsgId] = set()
     for user in sorted(queries):
@@ -153,19 +151,19 @@ def txn_index_messages(tx: TxnView, queries: dict[int, set[int]],
     return found[:index_cap], pairs
 
 
-def plan_reset_cutoff(b: int, user: int) -> Plan:
+def plan_reset_cutoff(b: int, user: int) -> AccessPlan:
     p = _PlanBuilder(b)
     p.add(seqno_key(user), 2)
     return p
 
 
-def txn_reset_cutoff(tx: TxnView, user: int) -> SeqPair:
+def txn_reset_cutoff(tx: TxnHandle, user: int) -> SeqPair:
     pair = tx.read(seqno_key(user))
     tx.write_seq(seqno_key(user), SeqPair(pair.current, pair.current))
     return pair
 
 
-def plan_send_msg(b: int, sender: int, recipient: int, content: Sequence[int]) -> Plan:
+def plan_send_msg(b: int, sender: int, recipient: int, content: Sequence[int]) -> AccessPlan:
     p = _PlanBuilder(b)
     _plan_one_send(p, sender, recipient, content)
     return p
@@ -181,7 +179,7 @@ def _plan_one_send(p: _PlanBuilder, sender: int, recipient: int,
         p.add(term_key(recipient, kw))
 
 
-def txn_send_msg(tx: TxnView, sender: int, recipient: int,
+def txn_send_msg(tx: TxnHandle, sender: int, recipient: int,
                  content: Sequence[int]) -> MsgId:
     pair = tx.incr_seq(seqno_key(recipient))
     mid = MsgId(recipient, pair.current)
@@ -193,7 +191,7 @@ def txn_send_msg(tx: TxnView, sender: int, recipient: int,
     return mid
 
 
-def plan_remove_messages(b: int, messages: Sequence[Message]) -> Plan:
+def plan_remove_messages(b: int, messages: Sequence[Message]) -> AccessPlan:
     p = _PlanBuilder(b)
     for m in messages:
         for kw in m.keywords():
@@ -204,7 +202,7 @@ def plan_remove_messages(b: int, messages: Sequence[Message]) -> Plan:
     return p
 
 
-def txn_remove_messages(tx: TxnView, messages: Sequence[Message]) -> None:
+def txn_remove_messages(tx: TxnHandle, messages: Sequence[Message]) -> None:
     for m in messages:
         for kw in m.keywords():
             tx.remove(term_key(m.recipient, kw), m.id)
@@ -213,7 +211,7 @@ def txn_remove_messages(tx: TxnView, messages: Sequence[Message]) -> None:
         tx.remove(message_key(m.recipient), m.id)
 
 
-def plan_import_messages(b: int, messages: Sequence[Message]) -> Plan:
+def plan_import_messages(b: int, messages: Sequence[Message]) -> AccessPlan:
     # Upper bound: assume every message passes both filters.
     p = _PlanBuilder(b)
     for m in messages:
@@ -226,7 +224,7 @@ def plan_import_messages(b: int, messages: Sequence[Message]) -> Plan:
     return p
 
 
-def txn_import_messages(tx: TxnView, messages: Sequence[Message]) -> int:
+def txn_import_messages(tx: TxnHandle, messages: Sequence[Message]) -> int:
     imported = 0
     for m in messages:
         pair = tx.read(seqno_key(m.recipient))
@@ -340,7 +338,7 @@ class ClientRuntime:
         for recipient in recipients:
             _plan_one_send(builder, sender, recipient, content)
 
-        def body(tx: TxnView) -> list[MsgId]:
+        def body(tx: TxnHandle) -> list[MsgId]:
             return [txn_send_msg(tx, sender, r, content) for r in recipients]
 
         for mid in run_atomic(self.ctx, "send_msg", builder, body):

@@ -12,25 +12,23 @@ from conftest import committed_attempts, make_cluster, make_ctx
 from helenos import cc, wire
 from helenos.cc import (
     OccConflict,
-    TxnView,
+    TxnHandle,
     begin,
     run_atomic,
 )
 from helenos.driver import cluster_snapshot
 from helenos.errors import AccessSetError, ConfigError, ProtocolError, ServerError
-from helenos.metrics import Commit, EventSink
+from helenos.metrics import BucketOp, Commit, EventSink, TxnStart
 from helenos.model import (
     TABLE_BY_TAG,
     BucketId,
     Message,
     MsgId,
     SeqPair,
-    TableId,
     bucket_of,
     inter_key,
     message_key,
     seqno_key,
-    term_key,
 )
 from helenos.transport import unwrap_reply
 from helenos.wire import Append, ErrCode, IncrSeq, Op, Read, Scheme, WriteSeq
@@ -108,7 +106,6 @@ class TestGLock:
     def test_single_client_matches_raw_storage_trace(self):
         cluster = make_cluster(1)
         ctx = make_ctx(cluster, Scheme.GLOCK)
-        ctx.sink = EventSink()
         result = run_atomic(
             ctx, "probe", {seq_bucket(4): 2},
             lambda tx: (tx.incr_seq(seqno_key(4)), tx.read(seqno_key(4))),
@@ -393,7 +390,7 @@ class TestOcc:
         ctx = make_ctx(cluster, Scheme.OCC)
         key = seqno_key(1)
 
-        def body(tx: TxnView):
+        def body(tx: TxnHandle):
             tx.write_seq(key, SeqPair(5, 2))
             return tx.read(key)
 
@@ -417,7 +414,6 @@ class TestOcc:
     def test_uncontended_commit_first_attempt(self):
         cluster = make_cluster(2)
         ctx = make_ctx(cluster, Scheme.OCC)
-        ctx.sink = EventSink()
         run_atomic(ctx, "probe", {seq_bucket(1): 1}, lambda tx: tx.incr_seq(seqno_key(1)))
         assert committed_attempts(ctx.sink) == [1]
 
@@ -466,8 +462,6 @@ class TestOcc:
         assert final == SeqPair(per_client * clients, 0)
 
     def test_mixed_version_reads_rejected_eagerly(self):
-        from helenos.model import TableKey, TableId
-
         cluster = make_cluster(2)
         # Two distinct keys landing in the same bucket of the seq table.
         keys_by_bucket: dict = {}
@@ -611,7 +605,6 @@ class TestAbandon:
             run_atomic(ctx, "bad", {seq_bucket(1): 2}, bad_body)
         # The cluster must stay usable and quiescent afterwards.
         ctx2 = make_ctx(cluster, scheme, client_id=2)
-        ctx2.sink = EventSink()
         run_atomic(ctx2, "probe", {seq_bucket(1): 1}, lambda tx: tx.incr_seq(seqno_key(1)))
         assert committed_attempts(ctx2.sink) == [1]
         for node in cluster.nodes.values():
@@ -665,7 +658,7 @@ class TestDeadlockFreedom:
                     for u in users:
                         plan[seq_bucket(u)] = plan.get(seq_bucket(u), 0) + 1
 
-                    def body(tx: TxnView, users=tuple(users)):
+                    def body(tx: TxnHandle, users=tuple(users)):
                         for u in users:
                             tx.incr_seq(seqno_key(u))
 
@@ -692,7 +685,7 @@ B1, B2, B3 = (bucket_of(key, B) for key in (K1, K2, K3))
 PLAN = {B1: 2, B2: 2, B3: 2}
 
 
-def three_bucket_body(tx: TxnView) -> None:
+def three_bucket_body(tx: TxnHandle) -> None:
     tx.read(K1)
     tx.incr_seq(K2)
     tx.read(K3)
@@ -748,7 +741,6 @@ def test_failed_frame_gives_back_everything(case):
     cluster = make_cluster(2)
     ctx = make_ctx(cluster, scheme)
     ctx.transport = FailNth(cluster, opcode, n)
-    ctx.sink = EventSink()
     raised = within_deadline(lambda: run_atomic(ctx, "probe", PLAN, three_bucket_body))
     assert isinstance(raised, ServerError) and raised.message.startswith("injected"), raised
     assert any(isinstance(ev, Commit) for ev in ctx.sink.events()) is (case in WRITES_LANDED)
@@ -787,10 +779,17 @@ def test_success_path_frame_order(scheme):
     cluster = make_cluster(2)
     ctx = make_ctx(cluster, scheme)
     ctx.transport = recorder = RecordFrames(cluster, ALL_REQUEST_OPCODES)
-    ctx.sink = EventSink()
     run_atomic(ctx, "probe", PLAN, three_bucket_body)
     assert committed_attempts(ctx.sink) == [1]
     assert recorder.trace == FRAME_ORDERS[scheme]
+
+
+def test_context_records_into_its_own_sink(scheme):
+    ctx = make_ctx(make_cluster(2), scheme)  # no sink given
+    run_atomic(ctx, "probe", PLAN, three_bucket_body)
+    rows = [type(ev) for ev in ctx.sink.events()]
+    assert rows[0] is TxnStart and rows[-1] is Commit
+    assert set(rows[1:-1]) == {BucketOp} and len(rows) >= 6  # one row per access at least
 
 
 def test_failed_validation_frame_order():

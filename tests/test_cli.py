@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import os
 import signal
 import socket
 import subprocess
@@ -29,7 +28,7 @@ from helenos.config import (
 from helenos.driver import repetition_seeds, run_in_process
 from helenos.errors import ConfigError
 from helenos.metrics import BucketOp, TxnStart, write_event_log
-from helenos.model import SeqPair, seqno_key
+from helenos.model import seqno_key
 from helenos.store import pack_snapshot
 from helenos.transport import read_frame_from
 from helenos.wire import Scheme
@@ -120,6 +119,13 @@ class TestScenarioFiles:
         text = dump_config(load_scenario("standard")).replace(
             "term_search = 0.25", "term_search = 0.5")
         with pytest.raises(ConfigError):
+            parse_config(text)
+
+    def test_nan_probability_rejected(self):
+        # NaN fails every comparison, so the sum check alone lets it through.
+        text = dump_config(load_scenario("standard")).replace(
+            "send_unicast = 0.06", "send_unicast = nan")
+        with pytest.raises(ConfigError, match="send_unicast = nan must be finite"):
             parse_config(text)
 
 

@@ -26,9 +26,6 @@ SHAPES = {
 }
 RUNS = [(shape, seed) for shape in SHAPES for seed in (1, 2, 3)]
 
-# A refused run fails inside a client thread, which the driver re-raises there.
-pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
-
 
 @pytest.fixture(params=RUNS, ids=[f"{shape}-{seed}" for shape, seed in RUNS])
 def run(request):

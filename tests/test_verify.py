@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from helenos import verify
-from helenos.config import ScenarioConfig, TaskType
+from helenos.config import ScenarioConfig
 from helenos.driver import run_in_process
 from helenos.errors import VerificationError
 from helenos.metrics import BucketOp, Commit
@@ -17,7 +15,6 @@ from helenos.model import (
     MsgId,
     SeqPair,
     TableId,
-    bucket_of,
     inter_key,
     message_key,
     seqno_key,

@@ -4,18 +4,19 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from conftest import committed_attempts, make_cluster, make_ctx
-from helenos import cc, driver
+from helenos import cc, driver, store
 from helenos import workload as wl
-from helenos.cc import TxnContext, run_atomic
+from helenos.cc import run_atomic
 from helenos.config import ScenarioConfig, TaskType, bundled_scenarios, load_scenario
 from helenos.driver import cluster_snapshot, run_in_process
-from helenos.errors import AccessSetError
+from helenos.errors import AccessSetError, HelenosError
 from helenos.metrics import Commit, EventSink, RetryStart, TxnStart
 from helenos.model import (
     Message,
@@ -27,7 +28,6 @@ from helenos.model import (
     seqno_key,
     term_key,
 )
-from helenos.store import pack_snapshot
 from helenos.verify import build_history, state_from_snapshot
 from helenos.wire import Scheme, WriteSeq
 
@@ -386,7 +386,6 @@ class TestTasks:
         builder = wl._PlanBuilder(B)
         for r in recipients:
             wl._plan_one_send(builder, A, r, content)
-        rig.ctx.sink = EventSink()
         ids = run_atomic(
             rig.ctx, "send_msg", builder,
             lambda tx: [wl.txn_send_msg(tx, A, r, content) for r in recipients],
@@ -567,6 +566,19 @@ class TestRunClients:
         assert artifacts.history == build_history(artifacts.events)
         assert artifacts.history is artifacts.history
         assert calls == [len(artifacts.events)]
+
+    def test_failed_clients_raise_once_without_thread_tracebacks(self, monkeypatch):
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+
+        def failing_apply(_engine, _bucket, _op):
+            raise RuntimeError("apply failed")
+
+        monkeypatch.setattr(store.StorageEngine, "apply", failing_apply)
+        cfg = replace(load_scenario("small-w"), scheme=Scheme.FGL, clients=4, op_delay_ms=0)
+        with pytest.raises(HelenosError, match="client failed"):
+            run_in_process(cfg)
+        assert hooked == []
 
     def test_glock_mean_ops_per_txn_pinned(self):
         # c08's k on the standard mix: 630 ops over 96 committed txns.
