@@ -20,7 +20,7 @@ from .metrics import METRIC_COLUMNS, read_event_log, report_row, write_event_log
 from .model import RingLayout
 from .store import Node
 from .transport import TcpNodeServer, TcpTransport, unwrap_reply
-from .verify import build_history, check_integrity, check_serializable, state_from_snapshot
+from .verify import check_run
 from .wire import Op, control_request
 
 log = logging.getLogger("helenos")
@@ -197,9 +197,7 @@ def _execute(cfg: ScenarioConfig, in_process: int | None):
         return cfg, run_in_process(cfg)
     if not cfg.endpoints:
         raise ConfigError("no endpoints in config; pass --in-process N or set endpoints")
-    endpoints = {
-        f"node{i}": _parse_endpoint(ep) for i, ep in enumerate(cfg.endpoints)
-    }
+    endpoints = dict(zip(cfg.node_ids(), map(_parse_endpoint, cfg.endpoints)))
     layout = RingLayout.from_node_ids(list(endpoints))
     probe = TcpTransport(endpoints, timeout=10.0)
     try:
@@ -313,10 +311,7 @@ def cmd_verify(args) -> int:
         events = read_event_log(fh)
     with open(args.snapshot, "rb") as fh:
         snapshot = fh.read()
-    history = build_history(events)
-    state = state_from_snapshot(snapshot)
-    serial = check_serializable(history, state)
-    integrity = check_integrity(state)
+    serial, integrity = check_run(events, snapshot)
 
     print(f"serializable: {'PASS' if serial.ok else 'FAIL'} ({serial.mode})")
     if serial.ok and serial.witness is not None:

@@ -7,7 +7,7 @@ task granularity, which keeps the global lock's arrival order (and hence
 the final state) reproducible from the seed alone.
 
 A run leaves ``RunArtifacts``: its report, its events and the merged final
-snapshot; the committed history is built from the events on first use.
+snapshot, which ``verify.check_run`` checks.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 from .cc import TxnContext
@@ -26,7 +25,6 @@ from .metrics import EventSink, MetricsReport, aggregate
 from .model import RingLayout
 from .store import merge_snapshots
 from .transport import LoopbackCluster, Transport, unwrap_reply
-from .verify import History, build_history
 from .wire import Op, Scheme, control_request
 from .workload import ClientRuntime, pick_task
 
@@ -38,17 +36,6 @@ class RunArtifacts:
     report: MetricsReport
     events: list
     snapshot: bytes
-
-    @cached_property
-    def history(self) -> History:
-        """Committed transactions' effects, built from ``events`` on first use."""
-        return build_history(self.events)
-
-    def mean_ops_per_txn(self) -> float:
-        if not self.history.effects:
-            return 0.0
-        total = sum(len(e.ops) for e in self.history.effects)
-        return total / len(self.history.effects)
 
 
 def repetition_seeds(cfg: ScenarioConfig, n: int) -> list[int]:

@@ -20,11 +20,12 @@ names the check that ran:
   graph means the history is conflict serializable (Papadimitriou, JACM
   1979) and the topological order is the witness. Only when Kahn's
   algorithm leaves transactions unplaced does it search for the shortest
-  precedence cycle to report. The witness is not replayed against the
-  snapshot, so this is a weaker check.
+  precedence cycle to report. ``check_serializable`` replays the witness
+  in place: each recorded read must hold and the result be the snapshot.
 
 ``check_integrity`` asserts referential integrity between the four tables
 and the per-inbox sequence discipline on a quiescent snapshot.
+``check_run`` makes both checks on a recorded run's events and snapshot.
 
 A ``History`` is the committed transactions' effects in commit order, each
 holding the clients' own ``metrics.BucketOp`` records of its committed
@@ -288,10 +289,31 @@ def _topological(edges: dict[int, set[int]]) -> list[int] | None:
     return out if len(out) == len(indeg) else None
 
 
+def _witness_mismatch(history: History, witness: list[int], final_state: State) -> str:
+    """What first contradicts replaying ``witness`` in place from the empty
+    state: a recorded read, else a key of ``final_state``; "" if nothing."""
+    effect_of = {effect.txn_id: effect for effect in history.effects}
+    state: State = {}
+    for txn in witness:
+        for op in effect_of[txn].ops:
+            if not _apply_effect(state, op):
+                return (f"witness replay: txn {txn}'s {op.kind} of {op.key.table.name}:"
+                        f"{op.key.parts} observed {op.value!r}, which the replay contradicts")
+    replayed, target = _normalized(state), _normalized(final_state)
+    if replayed == target:
+        return ""
+    key = min(k for k in replayed.keys() | target.keys() if replayed.get(k) != target.get(k))
+    got, held = (s.get(key, default_entry(key.table)) for s in (replayed, target))
+    return (f"witness replay: {key.table.name}:{key.parts} replays to {got!r},"
+            f" the snapshot holds {held!r}")
+
+
 def check_serializable(history: History, final_state: State) -> Verdict:
     if len(history.effects) <= BRUTE_FORCE_LIMIT:
         return brute_force_serializable(history, final_state)
-    return conflict_graph_serializable(history)
+    verdict = conflict_graph_serializable(history)
+    mismatch = verdict.ok and _witness_mismatch(history, verdict.witness, final_state)
+    return Verdict(False, "conflict-graph", detail=mismatch) if mismatch else verdict
 
 
 # ---------------------------------------------------------------------------
@@ -364,3 +386,9 @@ def check_integrity(state: State) -> IntegrityVerdict:
                 f"MESSAGE {mid}: seq outside ({pair.deleted}, {pair.current}]"
             )
     return v
+
+
+def check_run(events: list[Event], snapshot: bytes) -> tuple[Verdict, IntegrityVerdict]:
+    """The serializability and integrity verdicts on a recorded run."""
+    state = state_from_snapshot(snapshot)
+    return check_serializable(build_history(events), state), check_integrity(state)

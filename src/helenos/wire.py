@@ -490,10 +490,6 @@ def decode_header(payload: bytes) -> tuple[int, int, int, int, bytes]:
     return request_id, tag, index, opcode, payload[_HEADER.size :]
 
 
-def encode_cc(cc: CcBlock) -> bytes:
-    return _CC.pack(*cc)
-
-
 def decode_cc(data: bytes, off: int = 0) -> tuple[CcBlock, int]:
     if len(data) - off < _CC.size:
         raise ProtocolError("truncated concurrency block")
@@ -571,18 +567,6 @@ def ok_reply(request_id: int, body: bytes = b"") -> bytes:
 def err_reply(request_id: int, code: ErrCode, message: str) -> bytes:
     body = bytes([code]) + message.encode("utf-8")
     return frame(encode_header(request_id, None, Op.ERR) + body)
-
-
-_REPLY_OPS = {Op.OK.value: Op.OK, Op.ERR.value: Op.ERR}
-
-
-def decode_reply(data: bytes) -> tuple[int, Op, bytes]:
-    """Returns (request_id, OK or ERR, body) from a whole reply frame."""
-    _n, request_id, _tag, _index, opcode = open_frame(data)
-    reply_op = _REPLY_OPS.get(opcode)
-    if reply_op is None:
-        raise ProtocolError(f"unexpected reply opcode {opcode:#x}")
-    return request_id, reply_op, data[HEAD_SIZE:]
 
 
 def decode_err(body: bytes) -> tuple[ErrCode, str]:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
 
 from helenos.cc import TxnContext
+from helenos.errors import ProtocolError
 from helenos.metrics import Commit, EventSink
 from helenos.transport import LoopbackCluster
-from helenos.wire import SCHEME_NAMES, Scheme
+from helenos.wire import HEAD_SIZE, SCHEME_NAMES, CcBlock, Op, Scheme, open_frame
 
 ALL_SCHEMES = list(SCHEME_NAMES.values())
 
@@ -35,6 +37,20 @@ def make_ctx(
         client_id=client_id,
         backoff_rng=random.Random(seed),
     )
+
+
+def decode_reply(data: bytes) -> tuple[int, Op, bytes]:
+    """Returns (request_id, OK or ERR, body) from a whole reply frame."""
+    _n, request_id, _tag, _index, opcode = open_frame(data)
+    if opcode not in (Op.OK, Op.ERR):
+        raise ProtocolError(f"unexpected reply opcode {opcode:#x}")
+    return request_id, Op(opcode), data[HEAD_SIZE:]
+
+
+def encode_cc(cc: CcBlock) -> bytes:
+    """A concurrency block's wire bytes: scheme, txn id, attempt, op index,
+    flags, delay, private version."""
+    return struct.pack(">BQHIBHQ", *cc)
 
 
 def committed_attempts(sink: EventSink) -> list[int]:

@@ -20,6 +20,7 @@ import pytest
 
 from helenos import cc, driver, metrics, store, workload
 from helenos.config import load_scenario
+from helenos.verify import build_history
 from helenos.wire import Scheme
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -55,7 +56,8 @@ def _commits(artifacts) -> int:
 
 def _write_commits(artifacts) -> int:
     # An optimistic transaction takes commit locks only on the buckets it writes.
-    return sum(any(op.kind != "read" for op in effect.ops) for effect in artifacts.history.effects)
+    return sum(any(op.kind != "read" for op in effect.ops)
+               for effect in build_history(artifacts.events).effects)
 
 
 # Wait spans each scheme's node-side calls must record, and the fewest

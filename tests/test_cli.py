@@ -15,7 +15,9 @@ from dataclasses import replace
 
 import pytest
 
-from helenos import wire
+from conftest import decode_reply
+
+from helenos import store, wire
 from helenos.cli import _mean_row, main
 from helenos.config import (
     TaskType,
@@ -28,7 +30,7 @@ from helenos.config import (
 from helenos.driver import repetition_seeds, run_in_process
 from helenos.errors import ConfigError
 from helenos.metrics import BucketOp, TxnStart, write_event_log
-from helenos.model import seqno_key
+from helenos.model import TableId, seqno_key
 from helenos.store import pack_snapshot
 from helenos.transport import read_frame_from
 from helenos.wire import Scheme
@@ -424,6 +426,27 @@ class TestVerifyCommand:
         assert line.endswith(" ...") and len(line) < 200
         assert len(line.split(": ")[1].split()) == 10 + 1
 
+    def test_run_of_a_lossy_store_exits_3_with_the_replay_detail(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        store_entry = store.wire.store_entry
+
+        def lossy_store_entry(data, key, entry):
+            if key.table is not TableId.TERM:  # every TERM write is acknowledged, not stored
+                store_entry(data, key, entry)
+
+        monkeypatch.setattr(store.wire, "store_entry", lossy_store_entry)
+        events = tmp_path / "events.tsv"
+        snap = tmp_path / "final.snap"
+        assert run_cli(
+            "run", "--config", "standard", "--in-process", "4", "--scheme", "fgl",
+            "--seed", "7", "--override", "op_delay_ms=0", "--record", str(events),
+            "--snapshot-out", str(snap), "--out", str(tmp_path / "r.csv"),
+        ) == 0
+        capsys.readouterr()
+        assert run_cli("verify", "--events", str(events), "--snapshot", str(snap)) == 3
+        out = capsys.readouterr().out
+        assert "serializable: FAIL (conflict-graph)\n  witness replay: " in out
+
 
 class TestRepetitionSeeds:
     @pytest.mark.parametrize("clients, step", [(1, 1), (2, 2), (3, 4), (4, 4), (32, 32),
@@ -518,7 +541,7 @@ class TestNodeCommand:
             with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
                 sock.sendall(wire.control_request(1, wire.Op.PING))
                 reply = read_frame_from(sock)
-            _, opcode, body = wire.decode_reply(reply)
+            _, opcode, body = decode_reply(reply)
             assert (opcode, body) == (wire.Op.OK, b"PONG")
         finally:
             proc.send_signal(signal.SIGINT)
@@ -556,7 +579,7 @@ class TestNodeCommand:
                 time.sleep(0.1)  # request now in flight, sleeping server-side
                 proc.send_signal(signal.SIGINT)
                 reply = read_frame_from(sock)  # must still be answered
-            request_id, opcode, _ = wire.decode_reply(reply)
+            request_id, opcode, _ = decode_reply(reply)
             assert (request_id, opcode) == (7, wire.Op.OK)
             assert proc.wait(timeout=15) == 0
         finally:

@@ -2,11 +2,13 @@
 
 Each row breaks one name in the program for the test's duration, runs two
 small shapes on three seeds each, and names the check that must refuse
-every run: the run itself raising, or the serializability check.
+every run: the run itself raising, or ``check_run``'s serializability
+verdict.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -15,7 +17,8 @@ from helenos import cc, store
 from helenos.config import load_scenario
 from helenos.driver import run_in_process
 from helenos.errors import HelenosError
-from helenos.verify import check_serializable, state_from_snapshot
+from helenos.model import TableId
+from helenos.verify import check_run
 from helenos.wire import FLAG_RELEASE_AFTER, Op, Scheme
 
 SHAPES = {
@@ -37,8 +40,25 @@ def run(request):
 def test_occ_validation_that_always_passes(monkeypatch, run):
     monkeypatch.setattr(store.Node, "_occ_validate", lambda _node, _bucket, _txn, _version: True)
     artifacts = run(Scheme.OCC)
-    verdict = check_serializable(artifacts.history, state_from_snapshot(artifacts.snapshot))
+    verdict, _integrity = check_run(artifacts.events, artifacts.snapshot)
     assert not verdict.ok
+
+
+def test_store_drops_every_13th_term_write(monkeypatch, run):
+    # The node reaches store_entry through its module's wire binding; the
+    # checker's own binding keeps the real one, so its replay is honest.
+    store_entry, term_writes = store.wire.store_entry, itertools.count(1)
+
+    def lossy_store_entry(data, key, entry):
+        if key.table is TableId.TERM and next(term_writes) % 13 == 0:
+            return  # acknowledged, never stored
+        store_entry(data, key, entry)
+
+    monkeypatch.setattr(store.wire, "store_entry", lossy_store_entry)
+    artifacts = run(Scheme.FGL)
+    verdict, _integrity = check_run(artifacts.events, artifacts.snapshot)
+    assert not verdict.ok
+    assert verdict.detail.startswith("witness replay: ")
 
 
 def fgl_unlock_after_first_access(handle, bucket, op):

@@ -10,6 +10,8 @@ import time
 
 import pytest
 
+from conftest import decode_reply, encode_cc
+
 from helenos import store, wire
 from helenos.errors import ProtocolError
 from helenos.model import (
@@ -61,7 +63,7 @@ def one_node() -> Node:
 def storage(node: Node, op, request_id=1, cc=NONE_CC, bucket=None):
     bucket = bucket or bucket_of(op.key, B)
     reply = node.handle_frame(wire.storage_request(request_id, bucket, op, cc))
-    request_id_r, opcode, body = wire.decode_reply(reply)
+    request_id_r, opcode, body = decode_reply(reply)
     assert request_id_r == request_id
     return opcode, body
 
@@ -254,7 +256,7 @@ class TestServe:
         node = one_node()
         whole = wire.storage_request(5, bucket_of(seqno_key(1), B), Read(seqno_key(1)), NONE_CC)
         reply = node.handle_frame(whole[: len(whole) // 2])
-        _, opcode, body = wire.decode_reply(reply)
+        _, opcode, body = decode_reply(reply)
         assert opcode is Op.ERR
         assert wire.decode_err(body)[0] is ErrCode.MALFORMED
 
@@ -262,7 +264,7 @@ class TestServe:
         node = one_node()
         payload = wire.encode_header(3, None, Op.PING)
         payload = payload[:-1] + bytes([0x7F])  # overwrite opcode
-        _, opcode, body = wire.decode_reply(node.handle_frame(wire.frame(payload)))
+        _, opcode, body = decode_reply(node.handle_frame(wire.frame(payload)))
         assert opcode is Op.ERR
         assert wire.decode_err(body)[0] is ErrCode.MALFORMED
 
@@ -278,14 +280,14 @@ class TestServe:
             seqno_key(u) for u in range(256) if bucket_of(seqno_key(u), 64) == foreign
         )
         frame_bytes = wire.storage_request(8, foreign, Read(key), NONE_CC)
-        _, opcode, body = wire.decode_reply(cluster.nodes["node0"].handle_frame(frame_bytes))
+        _, opcode, body = decode_reply(cluster.nodes["node0"].handle_frame(frame_bytes))
         assert opcode is Op.ERR
         assert wire.decode_err(body)[0] is ErrCode.ROUTING
 
     def test_ping(self):
         node = one_node()
         reply = node.handle_frame(wire.control_request(2, Op.PING))
-        _, opcode, body = wire.decode_reply(reply)
+        _, opcode, body = decode_reply(reply)
         assert (opcode, body) == (Op.OK, b"PONG")
 
     def test_delay_lower_bound(self):
@@ -355,7 +357,7 @@ def _raw_frame(tag: int, opcode: int, rest: bytes, request_id: int = 4) -> bytes
 
 
 _KEY = seqno_key(1)
-_CC_BYTES = wire.encode_cc(NONE_CC)
+_CC_BYTES = encode_cc(NONE_CC)
 
 
 # Frames whose header or body names an unknown table, scheme or opcode, with
@@ -373,7 +375,7 @@ _CC_BYTES = wire.encode_cc(NONE_CC)
                  ErrCode.MALFORMED, "unknown opcode 0x7f", id="opcode"),
 ])
 def test_unknown_codes_get_pinned_errors(frame_bytes, code, message):
-    _, opcode, body = wire.decode_reply(one_node().handle_frame(frame_bytes))
+    _, opcode, body = decode_reply(one_node().handle_frame(frame_bytes))
     assert opcode is Op.ERR
     assert wire.decode_err(body) == (code, message)
 
@@ -597,7 +599,7 @@ def test_every_opcode_byte_gets_a_well_formed_reply():
     # MALFORMED. An empty body is malformed for every storage op and verb.
     replies = {}
     for byte in range(256):
-        request_id, opcode, body = wire.decode_reply(
+        request_id, opcode, body = decode_reply(
             one_node().handle_frame(_raw_frame(TableId.SEQNO, byte, b"")))
         assert request_id == RID
         replies[byte] = "OK" if opcode is Op.OK else wire.decode_err(body)[0].name
@@ -609,7 +611,7 @@ def test_every_opcode_byte_gets_a_well_formed_reply():
 
 def _served(node: Node, frame_bytes: bytes) -> tuple[Op, object]:
     """(OK, body) or (ERR, (code, message)) of the node's reply."""
-    _, opcode, body = wire.decode_reply(node.handle_frame(frame_bytes))
+    _, opcode, body = decode_reply(node.handle_frame(frame_bytes))
     return opcode, wire.decode_err(body) if opcode is Op.ERR else body
 
 
@@ -722,7 +724,7 @@ class TestSnapshot:
     def test_fresh_node_snapshot_is_empty(self):
         node = one_node()
         reply = node.handle_frame(wire.control_request(1, Op.SNAPSHOT))
-        _, opcode, body = wire.decode_reply(reply)
+        _, opcode, body = decode_reply(reply)
         assert opcode is Op.OK
         assert unpack_snapshot(body) == []
 
@@ -732,7 +734,7 @@ class TestSnapshot:
         snapshot = wire.control_request(RID, Op.SNAPSHOT)
         refused = _err(ErrCode.REFUSED, "transactions in flight")
         for frame_bytes in hold:
-            assert wire.decode_reply(node.handle_frame(frame_bytes))[1] is Op.OK
+            assert decode_reply(node.handle_frame(frame_bytes))[1] is Op.OK
         for frame_bytes in release:
             assert node.handle_frame(snapshot) == refused
             assert node.handle_frame(frame_bytes) == _ok()

@@ -24,7 +24,9 @@ from helenos.verify import (
     History,
     TxnEffect,
     brute_force_serializable,
+    build_history,
     check_integrity,
+    check_run,
     check_serializable,
     conflict_graph_serializable,
     state_from_snapshot,
@@ -118,20 +120,22 @@ def small_cfg(**kw) -> ScenarioConfig:
 class TestBruteForce:
     def test_serial_run_witness_is_commit_order(self):
         artifacts = run_in_process(small_cfg(clients=2, seed=3))
+        history = build_history(artifacts.events)
         state = state_from_snapshot(artifacts.snapshot)
-        verdict = brute_force_serializable(artifacts.history, state)
+        verdict = brute_force_serializable(history, state)
         assert verdict.ok
-        commit_order = [e.txn_id for e in artifacts.history.effects]
+        commit_order = [e.txn_id for e in history.effects]
         assert verdict.witness == commit_order
 
     def test_interleaved_run_has_witness(self, scheme):
         cfg = small_cfg(scheme=scheme, clients=3, seed=9)
         artifacts = run_in_process(cfg)
-        assert len(artifacts.history.effects) <= 10
+        history = build_history(artifacts.events)
+        assert len(history.effects) <= 10
         state = state_from_snapshot(artifacts.snapshot)
-        verdict = brute_force_serializable(artifacts.history, state)
+        verdict = brute_force_serializable(history, state)
         assert verdict.ok, verdict.detail
-        assert sorted(verdict.witness) == sorted(e.txn_id for e in artifacts.history.effects)
+        assert sorted(verdict.witness) == sorted(e.txn_id for e in history.effects)
 
     def test_write_skew_is_rejected(self):
         history, final = write_skew_history()
@@ -140,9 +144,10 @@ class TestBruteForce:
 
     def test_wrong_final_state_is_rejected(self):
         artifacts = run_in_process(small_cfg(seed=5))
+        history = build_history(artifacts.events)
         state = state_from_snapshot(artifacts.snapshot)
         state[seqno_key(999)] = SeqPair(42, 0)  # state the run never produced
-        verdict = brute_force_serializable(artifacts.history, state)
+        verdict = brute_force_serializable(history, state)
         assert not verdict.ok
 
     def test_incr_seq_effect_asserts_predecessor(self):
@@ -188,7 +193,8 @@ class TestConflictGraph:
     def test_acyclic_history_accepted(self, scheme):
         cfg = small_cfg(scheme=scheme, clients=3, seed=13)
         artifacts = run_in_process(cfg)
-        verdict = conflict_graph_serializable(artifacts.history)
+        history = build_history(artifacts.events)
+        verdict = conflict_graph_serializable(history)
         assert verdict.ok
 
     @pytest.mark.parametrize("make, cycle", [(lost_update_history, [1, 2]),
@@ -217,9 +223,10 @@ class TestConflictGraph:
     def test_acyclic_run_never_searches_for_a_cycle(self, scheme, no_cycle_search):
         cfg = small_cfg(scheme=scheme, clients=3, tasks_per_client=4, seed=29, buckets=4)
         artifacts = run_in_process(cfg)
-        verdict = conflict_graph_serializable(artifacts.history)
+        history = build_history(artifacts.events)
+        verdict = conflict_graph_serializable(history)
         assert verdict.ok
-        assert sorted(verdict.witness) == sorted(e.txn_id for e in artifacts.history.effects)
+        assert sorted(verdict.witness) == sorted(e.txn_id for e in history.effects)
 
     def test_long_chain_is_checked_without_a_cycle_search(self, no_cycle_search):
         # A BFS from every transaction is quadratic on this history.
@@ -255,6 +262,57 @@ class TestConflictGraph:
         history = History([t1, t2])
         verdict = conflict_graph_serializable(history)
         assert verdict.ok
+
+
+def reads_of_kx(txns: range, seen: SeqPair) -> list[TxnEffect]:
+    """One transaction per id in ``txns``, each reading ``seen`` from KX."""
+    return [TxnEffect(i, i, [effect_op(1, BX, "read", KX, seen, i)]) for i in txns]
+
+
+class TestWitnessReplay:
+    def test_graph_pass_replays_to_the_snapshot(self, scheme):
+        cfg = small_cfg(scheme=scheme, clients=3, tasks_per_client=4, seed=29, buckets=4)
+        artifacts = run_in_process(cfg)
+        serial, integrity = check_run(artifacts.events, artifacts.snapshot)
+        assert serial.ok and serial.mode == "conflict-graph", serial.detail
+        assert serial.witness == conflict_graph_serializable(build_history(artifacts.events)).witness
+        assert integrity.ok
+
+    def test_contradicted_read_named(self):
+        # T0's write precedes every read in the bucket order, yet each read
+        # saw the entry from before it: an acknowledged write left unstored.
+        t0 = TxnEffect(0, 0, [effect_op(1, BX, "write_seq", KX, SeqPair(1, 0), 1)])
+        history = History([t0, *reads_of_kx(range(1, 11), SeqPair(0, 0))])
+        assert conflict_graph_serializable(history).ok
+        verdict = check_serializable(history, {KX: SeqPair(1, 0)})
+        assert (verdict.ok, verdict.mode, verdict.witness, verdict.cycle) == (
+            False, "conflict-graph", None, None)
+        assert verdict.detail == (
+            "witness replay: txn 1's read of SEQNO:(10,) observed"
+            " SeqPair(current=0, deleted=0), which the replay contradicts")
+
+    def test_snapshot_mismatch_named(self):
+        history = History(reads_of_kx(range(11), SeqPair(0, 0)))
+        verdict = check_serializable(history, {KY: SeqPair(3, 0)})
+        assert not verdict.ok
+        assert verdict.detail == (
+            "witness replay: SEQNO:(11,) replays to SeqPair(current=0, deleted=0),"
+            " the snapshot holds SeqPair(current=3, deleted=0)")
+
+    def test_cycle_verdict_unchanged(self):
+        skew, final = write_skew_history()
+        history = History([*skew.effects, *reads_of_kx(range(3, 12), SeqPair(0, 0))])
+        verdict = check_serializable(history, final)
+        assert verdict == conflict_graph_serializable(history)
+        assert verdict.cycle == [1, 2]
+
+    def test_long_chain_replays_in_place(self, monkeypatch):
+        # Copying the state per transaction would make this replay quadratic.
+        monkeypatch.setattr(verify, "_replay_txn", None)
+        history = chain_history(20_000)
+        final = {op.key: op.value for effect in history.effects for op in effect.ops}
+        verdict = check_serializable(history, final)
+        assert verdict.ok and verdict.witness == list(range(20_000))
 
 
 class TestIntegrity:
@@ -306,10 +364,11 @@ class TestHistoryBuilding:
                         seed=23, buckets=2, user_population=4,
                         multicast_recipients=(1, 2))
         artifacts = run_in_process(cfg)
-        committed = {(e.txn_id) for e in artifacts.history.effects}
+        history = build_history(artifacts.events)
+        committed = {(e.txn_id) for e in history.effects}
         commit_attempts = {
             e.txn_id: e.attempt for e in artifacts.events if isinstance(e, Commit)
         }
         assert committed == set(commit_attempts)
-        for effect in artifacts.history.effects:
+        for effect in history.effects:
             assert effect.ops, "committed transaction recorded no operations"

@@ -8,6 +8,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import decode_reply
+
 from helenos import wire
 from helenos.errors import ProtocolError
 from helenos.model import (
@@ -110,12 +112,12 @@ class TestFrames:
 
     def test_reply_round_trip(self):
         reply = wire.ok_reply(5, b"hello")
-        request_id, opcode, body = wire.decode_reply(reply)
+        request_id, opcode, body = decode_reply(reply)
         assert (request_id, opcode, body) == (5, Op.OK, b"hello")
 
     def test_error_reply(self):
         reply = wire.err_reply(9, ErrCode.ROUTING, "not mine")
-        request_id, opcode, body = wire.decode_reply(reply)
+        request_id, opcode, body = decode_reply(reply)
         assert (request_id, opcode) == (9, Op.ERR)
         assert wire.decode_err(body) == (ErrCode.ROUTING, "not mine")
 
@@ -233,7 +235,7 @@ class TestGoldenFrames:
 def test_reply_with_a_request_opcode_rejected(opcode):
     reply = wire.frame(wire.encode_header(6, None, opcode))
     with pytest.raises(ProtocolError, match=f"unexpected reply opcode {opcode:#x}"):
-        wire.decode_reply(reply)
+        decode_reply(reply)
 
 
 def spread_message(words: int, seed: int) -> Message:

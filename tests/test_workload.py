@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import committed_attempts, make_cluster, make_ctx
-from helenos import cc, driver, store
+from helenos import cc, store
 from helenos import workload as wl
 from helenos.cc import run_atomic
 from helenos.config import ScenarioConfig, TaskType, bundled_scenarios, load_scenario
@@ -28,7 +28,7 @@ from helenos.model import (
     seqno_key,
     term_key,
 )
-from helenos.verify import build_history, state_from_snapshot
+from helenos.verify import state_from_snapshot
 from helenos.wire import Scheme, WriteSeq
 
 B = 8
@@ -553,20 +553,6 @@ class TestRunClients:
         artifacts = run_in_process(cfg)
         assert artifacts.report.commits <= 3 * 4 * 3
 
-    def test_history_built_on_first_read(self, monkeypatch):
-        calls = []
-
-        def counting(events):
-            calls.append(len(events))
-            return build_history(events)
-
-        monkeypatch.setattr(driver, "build_history", counting)
-        artifacts = run_in_process(self.small_cfg())
-        assert calls == []
-        assert artifacts.history == build_history(artifacts.events)
-        assert artifacts.history is artifacts.history
-        assert calls == [len(artifacts.events)]
-
     def test_failed_clients_raise_once_without_thread_tracebacks(self, monkeypatch):
         hooked = []
         monkeypatch.setattr(threading, "excepthook", hooked.append)
@@ -583,4 +569,5 @@ class TestRunClients:
     def test_glock_mean_ops_per_txn_pinned(self):
         # c08's k on the standard mix: 630 ops over 96 committed txns.
         cfg = replace(load_scenario("standard"), scheme=Scheme.GLOCK, op_delay_ms=0)
-        assert run_in_process(cfg).mean_ops_per_txn() == 630 / 96
+        report = run_in_process(cfg).report
+        assert report.total_bucket_ops / report.commits == 630 / 96
