@@ -15,6 +15,7 @@ from functools import cached_property
 from importlib import resources
 
 from .errors import ConfigError
+from .transport import in_process_node_ids
 from .wire import SCHEME_NAMES, Scheme
 
 
@@ -92,7 +93,7 @@ class ScenarioConfig:
             raise ConfigError("endpoints must match the node count")
 
     def node_ids(self) -> list[str]:
-        return [f"node{i}" for i in range(self.nodes)]
+        return in_process_node_ids(self.nodes)
 
     @cached_property
     def task_bounds(self) -> tuple[list[float], tuple[TaskType, ...]]:

@@ -295,19 +295,20 @@ _OP_COLUMN = re.compile(
 
 
 def _value_json(value: object) -> str:
-    """Compact JSON of a recorded value: tagged lists for the model's types."""
+    """Compact JSON of a recorded value: tagged lists for the model's types,
+    whose integer fields are written with ``%d``, so that a field the reader
+    parsed as a list (``str([1])`` is the JSON ``[1]``) cannot round-trip."""
     cls = type(value)
     if cls is tuple:
         return '{"l":[' + ",".join(map(_value_json, value)) + "]}"
     if cls is MsgId:
-        return f'{{"i":[{value.recipient},{value.seq}]}}'
+        return '{"i":[%d,%d]}' % value
     if cls is SeqPair:
-        return f'{{"s":[{value.current},{value.deleted}]}}'
+        return '{"s":[%d,%d]}' % value
     if cls is Message:
-        mid = value.id
-        content = ",".join(map(str, value.content))
-        return (f'{{"m":[[{mid.recipient},{mid.seq}],{value.sender},{value.recipient},'
-                f"[{content}],{value.timestamp}]}}")
+        (r, s), sender, recipient, content, ts = value
+        head = '{"m":[[%d,%d],%d,%d,[' + ",".join(["%d"] * len(content))
+        return (head + '],%d]}') % (r, s, sender, recipient, *content, ts)
     return _encode_json(value)
 
 

@@ -1,5 +1,8 @@
 """Keys, table schemas, bucket partitioning, and ring placement.
 
+``index_keys`` is the one statement of the INTER and TERM keys that index
+a message: send, import, remove and the integrity check loop over it.
+
 Everything in this module is pure and hashable (a RingLayout's owner
 memo is invisible to equality and hashing). Every stored value (a
 ``MsgId``, a ``SeqPair``, a ``Message``) is a named tuple, so each equals
@@ -14,7 +17,7 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import ConfigError, ProtocolError
 
@@ -112,6 +115,16 @@ def seqno_key(user: UserId) -> TableKey:
     return _tuple_new(TableKey, (_SEQNO, (user,)))
 
 
+def index_keys(sender: UserId, recipient: UserId, words: Iterable[Keyword]) -> list[TableKey]:
+    """INTER(sender, recipient), INTER(recipient, sender), then TERM(recipient,
+    w) for each distinct word w of ``words``, ascending."""
+    keys = [_tuple_new(TableKey, (_INTER, (sender, recipient))),
+            _tuple_new(TableKey, (_INTER, (recipient, sender)))]
+    for word in sorted(set(words)):  # a comprehension is a call of its own before 3.12
+        keys.append(_tuple_new(TableKey, (_TERM, (recipient, word))))
+    return keys
+
+
 # A key's fields after its tag byte, by tag byte.
 _KEY_FIELDS_BY_TAG = {table.value: struct.Struct(f">{arity}Q")
                      for table, arity in KEY_ARITY.items()}
@@ -154,10 +167,6 @@ class Message(NamedTuple):
     recipient: UserId
     content: tuple[Keyword, ...]
     timestamp: int  # logical, assigned by the owning store node; 0 = unassigned
-
-    def keywords(self) -> tuple[Keyword, ...]:
-        """Distinct content words, ascending; the message's index terms."""
-        return tuple(sorted(set(self.content)))
 
 
 class BucketId(NamedTuple):

@@ -265,7 +265,8 @@ def pack_snapshot(entries: list[tuple[bytes, bytes]]) -> bytes:
 def walk_snapshot(dump: bytes) -> Iterator[tuple[bytes, bytes, TableKey, TableEntry]]:
     """Each entry of a dump as (key encoding, entry encoding, key, entry): the
     one snapshot reader, behind ``merge_snapshots`` and the checker. It walks
-    the dump once with the key and entry decoders that read frames."""
+    the dump once with the key and entry decoders that read frames, and
+    refuses an entry whose kind is not its key's table's."""
     if dump[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
         raise ProtocolError("bad snapshot header")
     off = len(SNAPSHOT_MAGIC) + 8
@@ -273,6 +274,8 @@ def walk_snapshot(dump: bytes) -> Iterator[tuple[bytes, bytes, TableKey, TableEn
     for _ in range(count):
         key, split = decode_key(dump, off)
         entry, end = wire.decode_entry(dump, split)
+        if dump[split] != wire.TABLE_ROWS[key.table].kind:
+            raise ProtocolError(f"entry kind {dump[split]} does not match table {key.table.name}")
         yield dump[off:split], dump[split:end], key, entry
         off = end
     if off != len(dump):

@@ -24,7 +24,10 @@ names the check that ran:
   in place: each recorded read must hold and the result be the snapshot.
 
 ``check_integrity`` asserts referential integrity between the four tables
-and the per-inbox sequence discipline on a quiescent snapshot.
+and the per-inbox sequence discipline on a quiescent snapshot. Each INTER
+and TERM index is checked both ways: every id it holds names a stored
+message, and every stored message is in each key ``model.index_keys``
+gives it.
 ``check_run`` makes both checks on a recorded run's events and snapshot.
 
 A ``History`` is the committed transactions' effects in commit order, each
@@ -44,10 +47,10 @@ from .model import (
     BucketId,
     Message,
     MsgId,
-    SeqPair,
     TableId,
     TableKey,
-    inter_key,
+    index_keys,
+    seqno_key,
 )
 from .store import walk_snapshot
 from .wire import OP_SPECS, SPEC_BY_KIND, apply_op, default_entry, store_entry
@@ -347,40 +350,27 @@ def check_integrity(state: State) -> IntegrityVerdict:
                     v.violations.append(f"MESSAGE:{key.parts[0]}: duplicate id {m.id}")
                 messages[m.id] = m
 
-    def present(mid: MsgId) -> bool:
-        return mid in messages
-
     for key, value in state.items():
-        if key.table is TableId.TERM:
-            owner = key.parts[0]
+        table = key.table
+        if table is TableId.TERM or table is TableId.INTER:
             for mid in value:  # type: ignore[union-attr]
-                if mid.recipient != owner:
+                if table is TableId.TERM and mid.recipient != key.parts[0]:
                     v.violations.append(f"TERM:{key.parts}: id {mid} indexed under wrong inbox")
-                if not present(mid):
-                    v.violations.append(f"TERM:{key.parts}: dangling id {mid}")
-        elif key.table is TableId.INTER:
-            for mid in value:  # type: ignore[union-attr]
-                if not present(mid):
-                    v.violations.append(f"INTER:{key.parts}: dangling id {mid}")
+                if mid not in messages:
+                    v.violations.append(f"{table.name}:{key.parts}: dangling id {mid}")
 
     for mid, m in messages.items():
-        fwd = state.get(inter_key(m.sender, m.recipient), default_entry(TableId.INTER))
-        back = state.get(inter_key(m.recipient, m.sender), default_entry(TableId.INTER))
-        if mid not in fwd:
-            v.violations.append(f"MESSAGE {mid}: missing from INTER:({m.sender},{m.recipient})")
-        if mid not in back:
-            v.violations.append(f"MESSAGE {mid}: missing from INTER:({m.recipient},{m.sender})")
+        for key in index_keys(m.sender, m.recipient, m.content):
+            if mid not in state.get(key, default_entry(key.table)):
+                a, b = key.parts
+                v.violations.append(f"MESSAGE {mid}: missing from {key.table.name}:({a},{b})")
 
-    pairs: dict[int, SeqPair] = {
-        key.parts[0]: value  # type: ignore[misc]
-        for key, value in state.items()
-        if key.table is TableId.SEQNO
-    }
-    for user, pair in pairs.items():
-        if pair.deleted > pair.current:
-            v.violations.append(f"SEQNO:{user}: deleted {pair.deleted} > current {pair.current}")
+    for key, pair in state.items():
+        if key.table is TableId.SEQNO and pair.deleted > pair.current:  # type: ignore[union-attr]
+            v.violations.append(
+                f"SEQNO:{key.parts[0]}: deleted {pair.deleted} > current {pair.current}")
     for mid in messages:
-        pair = pairs.get(mid.recipient, default_entry(TableId.SEQNO))
+        pair = state.get(seqno_key(mid.recipient), default_entry(TableId.SEQNO))
         if not (pair.deleted < mid.seq <= pair.current):
             v.violations.append(
                 f"MESSAGE {mid}: seq outside ({pair.deleted}, {pair.current}]"

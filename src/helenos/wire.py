@@ -155,8 +155,9 @@ def _check_append_item(table: TableId, item: object) -> None:
     if table is TableId.MESSAGE:
         if not isinstance(item, Message):
             raise ProtocolError("message table append requires a full message")
-    elif isinstance(item, Message):
-        raise ProtocolError("identifier list append got a full message")
+    elif not isinstance(item, MsgId):
+        what = "a full message" if isinstance(item, Message) else repr(item)
+        raise ProtocolError(f"identifier list append got {what}")
 
 
 def apply_op(entry: TableEntry, op: StorageOp) -> tuple[TableEntry, object]:
@@ -165,7 +166,9 @@ def apply_op(entry: TableEntry, op: StorageOp) -> tuple[TableEntry, object]:
     The one definition of the storage semantics, shared by the store node,
     the optimistic scheme's private overlay and the offline checker. Pure:
     entries are immutable and an absent key is passed as its
-    ``default_entry``. An op that is invalid for its table raises
+    ``default_entry``. An op that is invalid for its table, or whose
+    argument is not of the kind it carries (an id list's item and a remove's
+    match are ``MsgId``, a sequence write's value a ``SeqPair``), raises
     ProtocolError.
     """
     table = op.key.table
@@ -180,6 +183,8 @@ def apply_op(entry: TableEntry, op: StorageOp) -> tuple[TableEntry, object]:
         # lists are matched by id.
         if table is TableId.SEQNO:
             raise ProtocolError("remove is not defined on the sequence table")
+        if not isinstance(op.item, MsgId):
+            raise ProtocolError(f"remove matches a MsgId, got {op.item!r}")
         if table is TableId.MESSAGE:
             return tuple(m for m in entry if m.id != op.item), op.item
         return tuple(m for m in entry if m != op.item), op.item
@@ -187,6 +192,8 @@ def apply_op(entry: TableEntry, op: StorageOp) -> tuple[TableEntry, object]:
         if table is not TableId.SEQNO:
             raise ProtocolError("sequence write on a non-sequence table")
         pair = op.pair
+        if not isinstance(pair, SeqPair):
+            raise ProtocolError(f"sequence write got {pair!r}, not a sequence pair")
         if pair.current < 0 or pair.deleted < 0 or pair.deleted > pair.current:
             raise ProtocolError(f"invalid sequence pair {pair}")
         return pair, pair

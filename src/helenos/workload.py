@@ -29,6 +29,7 @@ from .model import (
     SeqPair,
     TableKey,
     bucket_of,
+    index_keys,
     inter_key,
     message_key,
     seqno_key,
@@ -173,10 +174,8 @@ def _plan_one_send(p: _PlanBuilder, sender: int, recipient: int,
                    content: Sequence[int]) -> None:
     p.add(seqno_key(recipient))
     p.add(message_key(recipient))
-    p.add(inter_key(sender, recipient))
-    p.add(inter_key(recipient, sender))
-    for kw in sorted(set(content)):
-        p.add(term_key(recipient, kw))
+    for key in index_keys(sender, recipient, content):
+        p.add(key)
 
 
 def txn_send_msg(tx: TxnHandle, sender: int, recipient: int,
@@ -184,30 +183,24 @@ def txn_send_msg(tx: TxnHandle, sender: int, recipient: int,
     pair = tx.incr_seq(seqno_key(recipient))
     mid = MsgId(recipient, pair.current)
     tx.append(message_key(recipient), Message(mid, sender, recipient, tuple(content), 0))
-    tx.append(inter_key(sender, recipient), mid)
-    tx.append(inter_key(recipient, sender), mid)
-    for kw in sorted(set(content)):
-        tx.append(term_key(recipient, kw), mid)
+    for key in index_keys(sender, recipient, content):
+        tx.append(key, mid)
     return mid
 
 
 def plan_remove_messages(b: int, messages: Sequence[Message]) -> AccessPlan:
     p = _PlanBuilder(b)
     for m in messages:
-        for kw in m.keywords():
-            p.add(term_key(m.recipient, kw))
-        p.add(inter_key(m.sender, m.recipient))
-        p.add(inter_key(m.recipient, m.sender))
+        for key in index_keys(m.sender, m.recipient, m.content):
+            p.add(key)
         p.add(message_key(m.recipient))
     return p
 
 
 def txn_remove_messages(tx: TxnHandle, messages: Sequence[Message]) -> None:
     for m in messages:
-        for kw in m.keywords():
-            tx.remove(term_key(m.recipient, kw), m.id)
-        tx.remove(inter_key(m.sender, m.recipient), m.id)
-        tx.remove(inter_key(m.recipient, m.sender), m.id)
+        for key in index_keys(m.sender, m.recipient, m.content):
+            tx.remove(key, m.id)
         tx.remove(message_key(m.recipient), m.id)
 
 
@@ -217,10 +210,8 @@ def plan_import_messages(b: int, messages: Sequence[Message]) -> AccessPlan:
     for m in messages:
         p.add(seqno_key(m.recipient), 2)  # cutoff read + possible raise
         p.add(message_key(m.recipient), 2)  # duplicate check + insert
-        p.add(inter_key(m.sender, m.recipient))
-        p.add(inter_key(m.recipient, m.sender))
-        for kw in m.keywords():
-            p.add(term_key(m.recipient, kw))
+        for key in index_keys(m.sender, m.recipient, m.content):
+            p.add(key)
     return p
 
 
@@ -234,10 +225,8 @@ def txn_import_messages(tx: TxnHandle, messages: Sequence[Message]) -> int:
         if any(existing.id == m.id for existing in inbox):
             continue
         tx.append(message_key(m.recipient), m)
-        tx.append(inter_key(m.sender, m.recipient), m.id)
-        tx.append(inter_key(m.recipient, m.sender), m.id)
-        for kw in m.keywords():
-            tx.append(term_key(m.recipient, kw), m.id)
+        for key in index_keys(m.sender, m.recipient, m.content):
+            tx.append(key, m.id)
         if m.id.seq > pair.current:
             tx.write_seq(seqno_key(m.recipient), SeqPair(m.id.seq, pair.deleted))
         imported += 1

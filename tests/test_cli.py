@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
+import re
 import signal
 import socket
 import subprocess
@@ -14,6 +16,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import decode_reply
 
@@ -29,10 +32,11 @@ from helenos.config import (
 )
 from helenos.driver import repetition_seeds, run_in_process
 from helenos.errors import ConfigError
-from helenos.metrics import BucketOp, TxnStart, write_event_log
-from helenos.model import TableId, seqno_key
+from helenos.metrics import BucketOp, TxnStart, read_event_log, write_event_log
+from helenos.model import MsgId, TableId, seqno_key
 from helenos.store import pack_snapshot
 from helenos.transport import read_frame_from
+from helenos.verify import check_run
 from helenos.wire import Scheme
 
 # The task-mix columns shipped as scenario files, one vector per scenario.
@@ -446,6 +450,115 @@ class TestVerifyCommand:
         assert run_cli("verify", "--events", str(events), "--snapshot", str(snap)) == 3
         out = capsys.readouterr().out
         assert "serializable: FAIL (conflict-graph)\n  witness replay: " in out
+
+
+# A recorded run's op column ends with its value, then its bucket seq.
+_VALUE_COLUMN = re.compile(r'(?<="value":).*(?=,"seq":[-0-9]+\}$)')
+MODES = ["brute-force", "conflict-graph"]
+
+
+@pytest.fixture(scope="module")
+def recorded_runs(tmp_path_factory):
+    """A recorded glock small-w run per check mode, as (event log lines,
+    snapshot path), and a path for an altered log: four tasks per client
+    commit 10 transactions, five commit 12, and each run has every op kind."""
+    root = tmp_path_factory.mktemp("recorded")
+    runs = {}
+    for mode, tasks in zip(MODES, ("4", "5")):
+        events, snap = root / f"{mode}.tsv", root / f"{mode}.snap"
+        assert run_cli(
+            "run", "--config", "small-w", "--in-process", "2", "--scheme", "glock",
+            "--seed", "1", "--override", "clients=2", "--override", f"tasks_per_client={tasks}",
+            "--override", "op_delay_ms=0", "--override", "buckets=8",
+            "--override", "user_population=8", "--record", str(events),
+            "--snapshot-out", str(snap), "--out", str(root / "r.csv"),
+        ) == 0
+        lines = events.read_text().splitlines()
+        serial, integrity = check_run(read_event_log(lines), snap.read_bytes())
+        assert serial.ok and serial.mode == mode and integrity.ok
+        runs[mode] = (lines, snap)
+    return runs, root / "altered.tsv"
+
+
+def verify_with_value(recorded_runs, mode: str, row: int, value: str) -> int:
+    """``helenos verify`` of the mode's run whose ``row``-th line (from 0), a
+    bucket_op row, records ``value``."""
+    runs, altered = recorded_runs
+    lines, snap = runs[mode]
+    lines = list(lines)
+    lines[row] = _VALUE_COLUMN.sub(lambda _: value, lines[row])
+    altered.write_text("\n".join(lines) + "\n")
+    return run_cli("verify", "--events", str(altered), "--snapshot", str(snap))
+
+
+def first_row(recorded_runs, mode: str, kind: str, table: str) -> int:
+    lines, _ = recorded_runs[0][mode]
+    return next(i for i, line in enumerate(lines)
+                if f'"kind":"{kind}",' in line and f'"key":"{table}:' in line)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(["i", "s", "m", "l"]) | st.text(),
+                                     inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+class TestVerifyOfAnAlteredRun:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kind, table, value", [
+        ("append", "TERM", '{"foo":1}'),
+        ("append", "TERM", '{"l":[{"foo":1}]}'),
+        ("remove", "INTER", '{"foo":1}'),
+        ("write_seq", "SEQNO", "7"),
+        ("write_seq", "SEQNO", '{"foo":1}'),
+    ])
+    def test_write_its_op_cannot_carry_exits_3(self, recorded_runs, capsys, mode,
+                                               kind, table, value):
+        row = first_row(recorded_runs, mode, kind, table)
+        capsys.readouterr()
+        assert verify_with_value(recorded_runs, mode, row, value) == 3
+        err = capsys.readouterr().err
+        assert f"verification failed: recorded {kind} on " in err
+        assert " cannot apply: " in err
+
+    # A list of one integer prints as its JSON, so it survived the reader's
+    # round trip as a field until the fields were written with %d.
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kind, table, value", [
+        ("append", "TERM", '{"i":[[1],0]}'),
+        ("write_seq", "SEQNO", '{"s":[[1],0]}'),
+        ("append", "MESSAGE", '{"m":[[1,1],0,1,[[]],1]}'),
+    ])
+    def test_model_value_with_a_list_field_exits_3(self, recorded_runs, capsys, mode,
+                                                   kind, table, value):
+        row = first_row(recorded_runs, mode, kind, table)
+        capsys.readouterr()
+        assert verify_with_value(recorded_runs, mode, row, value) == 3
+        err = capsys.readouterr().err
+        assert f"event log line {row + 1}: %d format: a real number is required, not list" in err
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(MODES), value=JSON_VALUES)
+    def test_any_recorded_value_exits_0_or_3(self, recorded_runs, data, mode, value):
+        lines, _ = recorded_runs[0][mode]
+        rows = [i for i, line in enumerate(lines) if "\tbucket_op\t" in line]
+        row = data.draw(st.sampled_from(rows), label="row")
+        text = json.dumps(value, separators=(",", ":"))
+        assert verify_with_value(recorded_runs, mode, row, text) in (0, 3)
+
+    def test_snapshot_entry_of_another_table_exits_2(self, tmp_path, capsys):
+        events = tmp_path / "events.tsv"
+        events.write_text("")
+        snap = tmp_path / "final.snap"
+        snap.write_bytes(pack_snapshot([
+            (seqno_key(1).encode(), wire.encode_entry(TableId.TERM, (MsgId(1, 1),)))]))
+        capsys.readouterr()
+        assert run_cli("verify", "--events", str(events), "--snapshot", str(snap)) == 2
+        assert "entry kind 0 does not match table SEQNO" in capsys.readouterr().err
 
 
 class TestRepetitionSeeds:

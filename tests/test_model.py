@@ -25,6 +25,7 @@ from helenos.model import (
     bucket_position,
     decode_key,
     fnv1a_64,
+    index_keys,
     inter_key,
     message_key,
     mix64,
@@ -195,8 +196,11 @@ class TestMessage:
         assert repr(self.MSG) == ("Message(id=MsgId(recipient=2, seq=7), sender=1, "
                                   "recipient=2, content=(5, 3, 5), timestamp=9)")
 
-    def test_keywords_are_distinct_and_ascending(self):
-        assert self.MSG.keywords() == (3, 5)
+    def test_index_keys_are_inter_both_ways_then_distinct_words_ascending(self):
+        m = self.MSG
+        keys = index_keys(m.sender, m.recipient, m.content)
+        assert keys == [inter_key(1, 2), inter_key(2, 1), term_key(2, 3), term_key(2, 5)]
+        assert all(type(key) is TableKey for key in keys)
 
 
 class TestRing:

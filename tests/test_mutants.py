@@ -3,7 +3,7 @@
 Each row breaks one name in the program for the test's duration, runs two
 small shapes on three seeds each, and names the check that must refuse
 every run: the run itself raising, or ``check_run``'s serializability
-verdict.
+verdict, and its integrity verdict where the fault reaches the snapshot.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from helenos import cc, store
+from helenos import cc, metrics, store
 from helenos.config import load_scenario
 from helenos.driver import run_in_process
 from helenos.errors import HelenosError
@@ -55,6 +55,23 @@ def test_store_drops_every_13th_term_write(monkeypatch, run):
         store_entry(data, key, entry)
 
     monkeypatch.setattr(store.wire, "store_entry", lossy_store_entry)
+    artifacts = run(Scheme.FGL)
+    verdict, integrity = check_run(artifacts.events, artifacts.snapshot)
+    assert not verdict.ok
+    assert verdict.detail.startswith("witness replay: ")
+    assert not integrity.ok  # a stored message is missing from a TERM index
+
+
+def test_recorder_drops_every_13th_write_row(monkeypatch, run):
+    bucket_op, writes = metrics.EventSink.bucket_op, itertools.count(1)
+
+    def lossy_bucket_op(sink, time_ns, txn_id, client_id, attempt, bucket, op_index, kind,
+                        *rest):
+        if kind != "read" and next(writes) % 13 == 0:
+            return  # applied by the node, never recorded
+        bucket_op(sink, time_ns, txn_id, client_id, attempt, bucket, op_index, kind, *rest)
+
+    monkeypatch.setattr(metrics.EventSink, "bucket_op", lossy_bucket_op)
     artifacts = run(Scheme.FGL)
     verdict, _integrity = check_run(artifacts.events, artifacts.snapshot)
     assert not verdict.ok

@@ -196,6 +196,13 @@ APPLY_CASES = {
     "deleted above current": (ZERO, WriteSeq(SEQ, SeqPair(1, 2)), None),
     "negative current": (ZERO, WriteSeq(SEQ, SeqPair(-1, 0)), None),
     "negative deleted": (ZERO, WriteSeq(SEQ, SeqPair(0, -1)), None),
+    # A recorded value replayed by the checker may be any JSON value.
+    "object on term": ((), Append(TERM, {"foo": 1}), None),
+    "list on inter": ((), Append(INTER, ({"foo": 1},)), None),
+    "object removed from term": ((ID1,), Remove(TERM, {"foo": 1}), None),
+    "object removed from message": ((MSG1,), Remove(MSGS, {"foo": 1}), None),
+    "integer written as a pair": (ZERO, WriteSeq(SEQ, 7), None),
+    "object written as a pair": (ZERO, WriteSeq(SEQ, {"foo": 1}), None),
 }
 
 
@@ -860,6 +867,20 @@ class TestSnapshotCodec:
     def test_malformed_dump_refused(self, dump, text):
         with pytest.raises(ProtocolError, match=f"^{text}$"):
             unpack_snapshot(dump)
+
+    @pytest.mark.parametrize("key, table, entry, text", [
+        (seqno_key(1), TableId.TERM, (MsgId(1, 1),), "entry kind 0 does not match table SEQNO"),
+        (term_key(1, 2), TableId.SEQNO, SeqPair(1, 0), "entry kind 2 does not match table TERM"),
+        (inter_key(1, 2), TableId.MESSAGE, (_words_message(1, 1),),
+         "entry kind 1 does not match table INTER"),
+        (message_key(1), TableId.INTER, (MsgId(1, 1),), "entry kind 0 does not match table MESSAGE"),
+    ], ids=["ids-under-seqno", "pair-under-term", "messages-under-inter", "ids-under-message"])
+    def test_entry_of_another_table_refused(self, key, table, entry, text):
+        dump = pack_snapshot([(key.encode(), wire.encode_entry(table, entry))])
+        with pytest.raises(ProtocolError, match=f"^{text}$"):
+            unpack_snapshot(dump)
+        with pytest.raises(ProtocolError, match=f"^{text}$"):
+            merge_snapshots([pack_snapshot([]), dump])
 
     # sha256 of the merge of three ``_node_dump``s, recorded from the unpack
     # that decoded every entry to find its length.

@@ -17,7 +17,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "helenos"
 
 ALLOWED = {
     "transport.TcpNodeServer.stop": "library API for an embedded node; tests stop servers with it",
-    "transport.in_process_node_ids": "perfbench/layers.py imports it",
     "wire.decode_header": "perfbench/tracing.py wraps it on the node's codec path",
     "wire.storage_ok_body": "perfbench/tracing.py wraps it on the node's codec path",
     "config.dump_config": "README promises that a scenario file round-trips exactly",

@@ -342,6 +342,19 @@ class TestIntegrity:
         verdict = check_integrity(state)
         assert any("INTER:(2,1)" in v.replace(" ", "") for v in verdict.violations)
 
+    def test_missing_term_entry_detected(self):
+        msg = Message(MsgId(2, 1), 1, 2, (3, 4), 1)
+        state = {
+            message_key(2): (msg,),
+            inter_key(1, 2): (msg.id,),
+            inter_key(2, 1): (msg.id,),
+            term_key(2, 3): (msg.id,),
+            seqno_key(2): SeqPair(1, 0),
+        }
+        verdict = check_integrity(state)
+        assert verdict.violations == [
+            "MESSAGE MsgId(recipient=2, seq=1): missing from TERM:(2,4)"]
+
     def test_sequence_discipline_violations(self):
         msg = Message(MsgId(2, 5), 1, 2, (3,), 1)
         state = {
